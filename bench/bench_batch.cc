@@ -276,11 +276,11 @@ int main(int argc, char** argv) {
                   "\"fetch_stall_us\": 1500, \"threads\": 2, "
                   "\"throughput_rps\": %.1f, \"throughput_rps_min\": %.1f, "
                   "\"throughput_rps_samples\": %s, "
-                  "\"speedup_vs_batch1\": %.2f, \"stats\": %s}",
+                  "\"speedup_vs_batch1\": %.2f, \"stats\": ",
                   max_batch, reps.median, reps.min,
-                  reps.SamplesJson().c_str(), fetch_speedup,
-                  stats.ToJson().c_str());
-    results_json += row;
+                  reps.SamplesJson().c_str(), fetch_speedup);
+    // The stats object is appended unbounded: it outgrows any fixed row.
+    results_json += row + stats.ToJson() + "}";
   }
   std::fprintf(stderr,
                "[batch] engine batched-vs-direct results: %s\n",

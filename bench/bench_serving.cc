@@ -165,12 +165,12 @@ int main(int argc, char** argv) {
                     "\"fetch_stall_us\": %d, \"throughput_rps\": %.1f, "
                     "\"throughput_rps_min\": %.1f, "
                     "\"throughput_rps_samples\": %s, "
-                    "\"speedup_vs_1\": %.2f, \"stats\": %s}",
+                    "\"speedup_vs_1\": %.2f, \"stats\": ",
                     first ? "" : ",\n", mode.name, threads, mode.stall_us,
                     throughput, reps.min, reps.SamplesJson().c_str(),
-                    throughput_1 > 0 ? throughput / throughput_1 : 1.0,
-                    stats.ToJson().c_str());
-      results_json += row;
+                    throughput_1 > 0 ? throughput / throughput_1 : 1.0);
+      // The stats object is appended unbounded: it outgrows any fixed row.
+      results_json += row + stats.ToJson() + "}";
       first = false;
     }
   }

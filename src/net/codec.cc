@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 namespace rapid::net {
 
@@ -42,6 +43,7 @@ void AppendString(std::vector<uint8_t>* out, std::string_view s) {
 /// matter what the length fields claim.
 class ByteReader {
  public:
+  ByteReader() = default;
   ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
 
   template <typename T>
@@ -76,11 +78,19 @@ class ByteReader {
     return true;
   }
 
+  /// Hands the next `n` bytes to `*out` as their own reader.
+  bool Sub(uint32_t n, ByteReader* out) {
+    if (size_ - pos_ < n) return false;
+    *out = ByteReader(data_ + pos_, n);
+    pos_ += n;
+    return true;
+  }
+
   bool AtEnd() const { return pos_ == size_; }
 
  private:
-  const uint8_t* data_;
-  size_t size_;
+  const uint8_t* data_ = nullptr;
+  size_t size_ = 0;
   size_t pos_ = 0;
 };
 
@@ -102,236 +112,191 @@ constexpr uint8_t kFlagCacheHit = 4;
 
 // --- Binary RouterStats payload -------------------------------------------
 //
-// The structured stats format the shard layer merges: plain field dumps in
-// declaration order, each nested block prefixed by nothing (the layout IS
-// the schema, strict on both ends — a field added later must extend the
-// encoder and decoder together, which one test pins).
+// Keyed by the declared field ids (serve/stats_schema.h), so peers running
+// different versions still merge:
+//
+//   section := u16 count, count x record
+//   record  := u16 id, u32 length, length bytes
+//
+// The payload is a section of block records (`StatsRecord`); a block's body
+// is a section of field records whose bytes are the value (8 bytes per
+// scalar, 8 per histogram bin). Zero-valued fields are omitted. Decoders
+// skip ids they do not know and leave absent fields zero, so a field or
+// block added later is invisible to an older peer instead of breaking it.
+// The counts make every truncation a parse error.
 
-void AppendServingStats(std::vector<uint8_t>* out,
-                        const serve::ServingStats& s) {
-  Append<uint64_t>(out, s.requests);
-  Append<uint64_t>(out, s.fallbacks);
-  Append<uint64_t>(out, s.shed);
-  Append<double>(out, s.p50_us);
-  Append<double>(out, s.p95_us);
-  Append<double>(out, s.p99_us);
-  Append<double>(out, s.mean_us);
-  Append<uint64_t>(out, s.max_us);
-  Append<int32_t>(out, s.max_queue_depth);
-  Append<uint64_t>(out, s.batches);
-  Append<uint64_t>(out, s.batched_lists);
-  Append<int32_t>(out, s.max_batch_size);
-  Append<uint32_t>(out, serve::ServingStats::kBatchHistBins);
-  AppendBytes(out, s.batch_size_hist.data(),
-              s.batch_size_hist.size() * sizeof(uint64_t));
-  // Raw latency buckets travel with the snapshot so fleet merges can
-  // recompute exact percentiles (see serve/stats_merge.h).
-  Append<uint32_t>(out, serve::ServingStats::kLatencyHistBins);
-  AppendBytes(out, s.latency_hist.data(),
-              s.latency_hist.size() * sizeof(uint64_t));
+enum StatsRecord : uint16_t {
+  kTotal = 1,
+  kCache = 2,
+  kRouter = 3,
+  kProcess = 4,
+  kNet = 5,
+  kOnline = 6,
+  kPage = 7,
+  // Repeated, one per slot: two strings and the version, then a section of
+  // kTotal (its ServingStats) and kCache records.
+  kSlot = 8,
+};
+
+/// Writes a record header; returns where its body starts for `EndRecord`.
+size_t BeginRecord(std::vector<uint8_t>* out, uint16_t id) {
+  Append<uint16_t>(out, id);
+  Append<uint32_t>(out, 0);
+  return out->size();
 }
 
-bool ReadServingStats(ByteReader* reader, serve::ServingStats* s) {
-  int32_t max_queue_depth = 0, max_batch_size = 0;
-  uint32_t bins = 0;
-  if (!reader->Read(&s->requests) || !reader->Read(&s->fallbacks) ||
-      !reader->Read(&s->shed) || !reader->Read(&s->p50_us) ||
-      !reader->Read(&s->p95_us) || !reader->Read(&s->p99_us) ||
-      !reader->Read(&s->mean_us) || !reader->Read(&s->max_us) ||
-      !reader->Read(&max_queue_depth) || !reader->Read(&s->batches) ||
-      !reader->Read(&s->batched_lists) || !reader->Read(&max_batch_size) ||
-      !reader->Read(&bins) ||
-      bins != serve::ServingStats::kBatchHistBins) {
+void EndRecord(std::vector<uint8_t>* out, size_t body) {
+  const uint32_t len = static_cast<uint32_t>(out->size() - body);
+  std::memcpy(out->data() + body - sizeof(len), &len, sizeof(len));
+}
+
+void PatchCount(std::vector<uint8_t>* out, size_t at, uint16_t count) {
+  std::memcpy(out->data() + at, &count, sizeof(count));
+}
+
+bool ReadRecord(ByteReader* reader, uint16_t* id, ByteReader* body) {
+  uint32_t len = 0;
+  return reader->Read(id) && reader->Read(&len) && reader->Sub(len, body);
+}
+
+template <typename Block>
+void AppendBlock(std::vector<uint8_t>* out, uint16_t id, const Block& block) {
+  const size_t body = BeginRecord(out, id);
+  const size_t count_at = out->size();
+  uint16_t count = 0;
+  Append<uint16_t>(out, 0);
+  Block::Fields([&](const serve::stats::Field& f, auto member) {
+    const auto& v = block.*member;
+    using T = std::remove_cvref_t<decltype(v)>;
+    if (v == T{}) return;
+    const size_t at = BeginRecord(out, f.id);
+    if constexpr (serve::stats::kIsHistogram<T>) {
+      AppendBytes(out, v.data(), v.size() * sizeof(uint64_t));
+    } else if constexpr (std::is_same_v<T, double>) {
+      Append<double>(out, v);
+    } else {
+      Append<int64_t>(out, static_cast<int64_t>(v));
+    }
+    EndRecord(out, at);
+    ++count;
+  });
+  PatchCount(out, count_at, count);
+  EndRecord(out, body);
+}
+
+template <typename Block>
+bool ReadBlock(ByteReader reader, Block* block) {
+  uint16_t count = 0;
+  if (!reader.Read(&count)) return false;
+  for (uint16_t i = 0; i < count; ++i) {
+    uint16_t id = 0;
+    ByteReader value;
+    if (!ReadRecord(&reader, &id, &value)) return false;
+    bool ok = true;
+    Block::Fields([&](const serve::stats::Field& f, auto member) {
+      if (f.id != id) return;
+      auto& v = block->*member;
+      using T = std::remove_cvref_t<decltype(v)>;
+      if constexpr (serve::stats::kIsHistogram<T>) {
+        for (uint64_t& bin : v) ok = ok && value.Read(&bin);
+      } else if constexpr (std::is_same_v<T, double>) {
+        ok = value.Read(&v);
+      } else {
+        int64_t raw = 0;
+        ok = value.Read(&raw);
+        v = static_cast<T>(raw);
+      }
+      ok = ok && value.AtEnd();
+    });
+    if (!ok) return false;
+  }
+  return reader.AtEnd();
+}
+
+bool ReadSlot(ByteReader reader, serve::RouterStats* s,
+              const CodecLimits& limits) {
+  serve::RouterStats::SlotEntry entry;
+  uint16_t count = 0;
+  if (s->slots.size() >= limits.max_items ||
+      !reader.ReadString(&entry.slot, limits.max_string_bytes) ||
+      !reader.ReadString(&entry.model_name, limits.max_string_bytes) ||
+      !reader.Read(&entry.version) || !reader.Read(&count)) {
     return false;
   }
-  s->max_queue_depth = max_queue_depth;
-  s->max_batch_size = max_batch_size;
-  for (uint64_t& bin : s->batch_size_hist) {
-    if (!reader->Read(&bin)) return false;
+  for (uint16_t i = 0; i < count; ++i) {
+    uint16_t id = 0;
+    ByteReader body;
+    if (!ReadRecord(&reader, &id, &body)) return false;
+    if ((id == kTotal && !ReadBlock(body, &entry.stats)) ||
+        (id == kCache && !ReadBlock(body, &entry.cache))) {
+      return false;
+    }
   }
-  uint32_t latency_bins = 0;
-  if (!reader->Read(&latency_bins) ||
-      latency_bins != serve::ServingStats::kLatencyHistBins) {
-    return false;
-  }
-  for (uint64_t& bin : s->latency_hist) {
-    if (!reader->Read(&bin)) return false;
-  }
-  return true;
-}
-
-void AppendCacheStats(std::vector<uint8_t>* out, const serve::CacheStats& s) {
-  Append<uint64_t>(out, s.hits);
-  Append<uint64_t>(out, s.misses);
-  Append<uint64_t>(out, s.inserts);
-  Append<uint64_t>(out, s.evictions);
-  Append<uint64_t>(out, s.expired);
-  Append<uint64_t>(out, s.bypass);
-  Append<uint64_t>(out, s.swept);
-  Append<uint64_t>(out, s.deferred);
-  Append<uint64_t>(out, s.negative_hits);
-  Append<uint64_t>(out, s.negative_inserts);
-}
-
-bool ReadCacheStats(ByteReader* reader, serve::CacheStats* s) {
-  return reader->Read(&s->hits) && reader->Read(&s->misses) &&
-         reader->Read(&s->inserts) && reader->Read(&s->evictions) &&
-         reader->Read(&s->expired) && reader->Read(&s->bypass) &&
-         reader->Read(&s->swept) && reader->Read(&s->deferred) &&
-         reader->Read(&s->negative_hits) &&
-         reader->Read(&s->negative_inserts);
-}
-
-void AppendNetStats(std::vector<uint8_t>* out, const serve::NetStats& s) {
-  Append<uint64_t>(out, s.connections_accepted);
-  Append<uint64_t>(out, s.connections_active);
-  Append<uint64_t>(out, s.connections_rejected);
-  Append<uint64_t>(out, s.closed_idle);
-  Append<uint64_t>(out, s.closed_slow);
-  Append<uint64_t>(out, s.closed_protocol_error);
-  Append<uint64_t>(out, s.frames_in);
-  Append<uint64_t>(out, s.frames_out);
-  Append<uint64_t>(out, s.error_frames_out);
-  Append<uint64_t>(out, s.decode_errors);
-  Append<uint64_t>(out, s.bytes_in);
-  Append<uint64_t>(out, s.bytes_out);
-  Append<uint64_t>(out, s.dropped_responses);
-  Append<uint64_t>(out, s.stats_frames);
-  Append<uint64_t>(out, s.load_frames);
-  Append<uint64_t>(out, s.feedback_frames);
-  Append<int32_t>(out, s.max_inflight_per_conn);
-}
-
-bool ReadNetStats(ByteReader* reader, serve::NetStats* s) {
-  int32_t max_inflight = 0;
-  if (!reader->Read(&s->connections_accepted) ||
-      !reader->Read(&s->connections_active) ||
-      !reader->Read(&s->connections_rejected) ||
-      !reader->Read(&s->closed_idle) || !reader->Read(&s->closed_slow) ||
-      !reader->Read(&s->closed_protocol_error) ||
-      !reader->Read(&s->frames_in) || !reader->Read(&s->frames_out) ||
-      !reader->Read(&s->error_frames_out) ||
-      !reader->Read(&s->decode_errors) || !reader->Read(&s->bytes_in) ||
-      !reader->Read(&s->bytes_out) || !reader->Read(&s->dropped_responses) ||
-      !reader->Read(&s->stats_frames) || !reader->Read(&s->load_frames) ||
-      !reader->Read(&s->feedback_frames) || !reader->Read(&max_inflight)) {
-    return false;
-  }
-  s->max_inflight_per_conn = max_inflight;
-  return true;
-}
-
-void AppendOnlineStats(std::vector<uint8_t>* out,
-                       const serve::OnlineStats& s) {
-  Append<uint64_t>(out, s.feedback_appended);
-  Append<uint64_t>(out, s.feedback_dropped);
-  Append<uint64_t>(out, s.feedback_drained);
-  Append<uint64_t>(out, s.train_rounds);
-  Append<uint64_t>(out, s.trained_lists);
-  Append<uint64_t>(out, s.publishes);
-  Append<uint64_t>(out, s.publish_rejected);
-  Append<uint64_t>(out, s.publish_skipped);
-  Append<uint64_t>(out, s.last_published_version);
-}
-
-bool ReadOnlineStats(ByteReader* reader, serve::OnlineStats* s) {
-  return reader->Read(&s->feedback_appended) &&
-         reader->Read(&s->feedback_dropped) &&
-         reader->Read(&s->feedback_drained) &&
-         reader->Read(&s->train_rounds) && reader->Read(&s->trained_lists) &&
-         reader->Read(&s->publishes) && reader->Read(&s->publish_rejected) &&
-         reader->Read(&s->publish_skipped) &&
-         reader->Read(&s->last_published_version);
-}
-
-void AppendPageStats(std::vector<uint8_t>* out, const serve::PageStats& s) {
-  Append<uint64_t>(out, s.pages);
-  Append<uint64_t>(out, s.page_lists);
-  Append<uint64_t>(out, s.joint_pages);
-  Append<uint64_t>(out, s.degraded_pages);
-  Append<uint32_t>(out, serve::PageStats::kListsHistBins);
-  AppendBytes(out, s.lists_per_page_hist.data(),
-              s.lists_per_page_hist.size() * sizeof(uint64_t));
-  Append<uint64_t>(out, s.redundancy_millitopics);
-  Append<int32_t>(out, s.max_lists_per_page);
-}
-
-bool ReadPageStats(ByteReader* reader, serve::PageStats* s) {
-  uint32_t bins = 0;
-  if (!reader->Read(&s->pages) || !reader->Read(&s->page_lists) ||
-      !reader->Read(&s->joint_pages) || !reader->Read(&s->degraded_pages) ||
-      !reader->Read(&bins) || bins != serve::PageStats::kListsHistBins) {
-    return false;
-  }
-  for (uint64_t& bin : s->lists_per_page_hist) {
-    if (!reader->Read(&bin)) return false;
-  }
-  int32_t max_lists = 0;
-  if (!reader->Read(&s->redundancy_millitopics) || !reader->Read(&max_lists)) {
-    return false;
-  }
-  s->max_lists_per_page = max_lists;
+  if (!reader.AtEnd()) return false;
+  s->slots.push_back(std::move(entry));
   return true;
 }
 
 void AppendRouterStats(std::vector<uint8_t>* out,
                        const serve::RouterStats& s) {
-  AppendServingStats(out, s.total);
-  AppendCacheStats(out, s.cache);
-  Append<uint64_t>(out, s.unknown_slot);
-  Append<uint64_t>(out, s.invalid_ids);
-  Append<uint64_t>(out, s.canary_rejected);
-  Append<uint64_t>(out, s.quota_shed);
-  Append<uint8_t>(out, s.has_net ? 1 : 0);
-  if (s.has_net) AppendNetStats(out, s.net);
-  Append<uint8_t>(out, s.has_online ? 1 : 0);
-  if (s.has_online) AppendOnlineStats(out, s.online);
-  Append<uint8_t>(out, s.has_page ? 1 : 0);
-  if (s.has_page) AppendPageStats(out, s.page);
-  Append<uint32_t>(out, static_cast<uint32_t>(s.slots.size()));
+  const size_t count_at = out->size();
+  uint16_t count = 0;
+  Append<uint16_t>(out, 0);
+  const auto block = [&](uint16_t id, const auto& b) {
+    AppendBlock(out, id, b);
+    ++count;
+  };
+  block(kTotal, s.total);
+  block(kCache, s.cache);
+  block(kRouter, s);
+  block(kProcess, s.process);
+  if (s.has_net) block(kNet, s.net);
+  if (s.has_online) block(kOnline, s.online);
+  if (s.has_page) block(kPage, s.page);
   for (const serve::RouterStats::SlotEntry& slot : s.slots) {
+    const size_t body = BeginRecord(out, kSlot);
     AppendString(out, slot.slot);
     AppendString(out, slot.model_name);
     Append<uint64_t>(out, slot.version);
-    AppendServingStats(out, slot.stats);
-    AppendCacheStats(out, slot.cache);
+    Append<uint16_t>(out, 2);
+    AppendBlock(out, kTotal, slot.stats);
+    AppendBlock(out, kCache, slot.cache);
+    EndRecord(out, body);
+    ++count;
   }
+  PatchCount(out, count_at, count);
 }
 
 bool ReadRouterStats(ByteReader* reader, serve::RouterStats* s,
                      const CodecLimits& limits) {
-  uint8_t has_net = 0;
-  uint32_t num_slots = 0;
-  if (!ReadServingStats(reader, &s->total) ||
-      !ReadCacheStats(reader, &s->cache) || !reader->Read(&s->unknown_slot) ||
-      !reader->Read(&s->invalid_ids) || !reader->Read(&s->canary_rejected) ||
-      !reader->Read(&s->quota_shed) || !reader->Read(&has_net) ||
-      has_net > 1) {
-    return false;
-  }
-  s->has_net = has_net != 0;
-  if (s->has_net && !ReadNetStats(reader, &s->net)) return false;
-  uint8_t has_online = 0;
-  if (!reader->Read(&has_online) || has_online > 1) return false;
-  s->has_online = has_online != 0;
-  if (s->has_online && !ReadOnlineStats(reader, &s->online)) return false;
-  uint8_t has_page = 0;
-  if (!reader->Read(&has_page) || has_page > 1) return false;
-  s->has_page = has_page != 0;
-  if (s->has_page && !ReadPageStats(reader, &s->page)) return false;
-  if (!reader->Read(&num_slots) || num_slots > limits.max_items) return false;
-  s->slots.clear();
-  s->slots.reserve(num_slots);
-  for (uint32_t i = 0; i < num_slots; ++i) {
-    serve::RouterStats::SlotEntry entry;
-    if (!reader->ReadString(&entry.slot, limits.max_string_bytes) ||
-        !reader->ReadString(&entry.model_name, limits.max_string_bytes) ||
-        !reader->Read(&entry.version) ||
-        !ReadServingStats(reader, &entry.stats) ||
-        !ReadCacheStats(reader, &entry.cache)) {
-      return false;
+  uint16_t count = 0;
+  if (!reader->Read(&count)) return false;
+  for (uint16_t i = 0; i < count; ++i) {
+    uint16_t id = 0;
+    ByteReader body;
+    if (!ReadRecord(reader, &id, &body)) return false;
+    bool ok = true;
+    switch (id) {
+      case kTotal: ok = ReadBlock(body, &s->total); break;
+      case kCache: ok = ReadBlock(body, &s->cache); break;
+      case kRouter: ok = ReadBlock(body, s); break;
+      case kProcess: ok = ReadBlock(body, &s->process); break;
+      case kNet:
+        s->has_net = true;
+        ok = ReadBlock(body, &s->net);
+        break;
+      case kOnline:
+        s->has_online = true;
+        ok = ReadBlock(body, &s->online);
+        break;
+      case kPage:
+        s->has_page = true;
+        ok = ReadBlock(body, &s->page);
+        break;
+      case kSlot: ok = ReadSlot(body, s, limits); break;
+      default: break;  // A newer peer's block.
     }
-    s->slots.push_back(std::move(entry));
+    if (!ok) return false;
   }
   return true;
 }

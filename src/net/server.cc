@@ -404,24 +404,20 @@ void Server::ServePage(WirePageRequest page, std::vector<uint8_t>* frame_out) {
     response.cross_list_redundancy = result.cross_list_redundancy;
     redundancy = result.cross_list_redundancy;
     response.lists = std::move(result.lists);
-    if (cfg.joint) joint_pages_.fetch_add(1, std::memory_order_relaxed);
+    if (cfg.joint) page_stats_.Add(&serve::PageStats::joint_pages);
   }
 
-  pages_served_.fetch_add(1, std::memory_order_relaxed);
-  page_lists_.fetch_add(num_lists, std::memory_order_relaxed);
-  if (degraded) degraded_pages_.fetch_add(1, std::memory_order_relaxed);
-  const int bin = std::min<int>(static_cast<int>(num_lists),
-                                serve::PageStats::kListsHistBins) -
-                  1;
-  if (bin >= 0) page_hist_[bin].fetch_add(1, std::memory_order_relaxed);
-  page_redundancy_mt_.fetch_add(
-      static_cast<uint64_t>(std::max(redundancy, 0.0f) * 1000.0f),
-      std::memory_order_relaxed);
-  int prev = page_max_lists_.load(std::memory_order_relaxed);
-  while (prev < static_cast<int>(num_lists) &&
-         !page_max_lists_.compare_exchange_weak(
-             prev, static_cast<int>(num_lists), std::memory_order_relaxed)) {
+  page_stats_.Add(&serve::PageStats::pages);
+  page_stats_.Add(&serve::PageStats::page_lists, num_lists);
+  if (degraded) page_stats_.Add(&serve::PageStats::degraded_pages);
+  if (num_lists > 0) {
+    page_stats_.AddToBin(&serve::PageStats::lists_per_page_hist,
+                         num_lists - 1);
   }
+  page_stats_.Add(&serve::PageStats::redundancy_millitopics,
+                  static_cast<uint64_t>(std::max(redundancy, 0.0f) * 1000.0f));
+  page_stats_.Max(&serve::PageStats::max_lists_per_page,
+                  static_cast<int>(num_lists));
 
   EncodePageResponse(response, frame_out);
 }
@@ -564,7 +560,7 @@ void Server::AcceptReady() {
     if (fd < 0) return;  // EAGAIN or a transient error; the loop retries.
     if (connections_.size() >=
         static_cast<size_t>(config_.max_connections)) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
+      net_stats_.Add(&serve::NetStats::connections_rejected);
       ::close(fd);
       continue;
     }
@@ -581,8 +577,8 @@ void Server::AcceptReady() {
     conn->last_read = conn->last_write_progress = Clock::now();
     poller_->Watch(fd, kWatchRead);
     conn->watch_mask = kWatchRead;
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    active_.fetch_add(1, std::memory_order_relaxed);
+    net_stats_.Add(&serve::NetStats::connections_accepted);
+    net_stats_.Add(&serve::NetStats::connections_active);
     connections_.emplace(conn->id, std::move(conn));
   }
 }
@@ -602,8 +598,7 @@ void Server::ReadReady(Connection* conn) {
     }
     const ssize_t n = ::read(conn->fd, scratch, want);
     if (n > 0) {
-      bytes_in_.fetch_add(static_cast<uint64_t>(n),
-                          std::memory_order_relaxed);
+      net_stats_.Add(&serve::NetStats::bytes_in, static_cast<uint64_t>(n));
       conn->rbuf.insert(conn->rbuf.end(), scratch, scratch + n);
       conn->last_read = Clock::now();
       continue;
@@ -640,7 +635,7 @@ void Server::ParseFrames(Connection* conn) {
       // Framing is lost: there is no way to find the next frame boundary,
       // so the connection is closed (responses already in flight are
       // dropped and counted).
-      closed_protocol_.fetch_add(1, std::memory_order_relaxed);
+      net_stats_.Add(&serve::NetStats::closed_protocol_error);
       CloseConnection(conn_id);
       return;
     }
@@ -657,10 +652,10 @@ void Server::HandleFrame(Connection* conn, Frame frame) {
   // error frame instead of disconnecting — framing survived, so the
   // connection is still usable.
   const auto answer_error = [&](const char* message) {
-    decode_errors_.fetch_add(1, std::memory_order_relaxed);
+    net_stats_.Add(&serve::NetStats::decode_errors);
     std::vector<uint8_t> out;
     EncodeError(frame.header.request_id, message, &out);
-    error_frames_out_.fetch_add(1, std::memory_order_relaxed);
+    net_stats_.Add(&serve::NetStats::error_frames_out);
     QueueWrite(conn, std::move(out));
   };
 
@@ -670,7 +665,7 @@ void Server::HandleFrame(Connection* conn, Frame frame) {
       answer_error("malformed stats request");
       return;
     }
-    stats_frames_.fetch_add(1, std::memory_order_relaxed);
+    net_stats_.Add(&serve::NetStats::stats_frames);
     Work work;
     work.conn_id = conn->id;
     work.type = FrameType::kStatsRequest;
@@ -686,13 +681,13 @@ void Server::HandleFrame(Connection* conn, Frame frame) {
       answer_error("malformed load request");
       return;
     }
-    load_frames_.fetch_add(1, std::memory_order_relaxed);
+    net_stats_.Add(&serve::NetStats::load_frames);
     if (!config_.enable_remote_load) {
       // Refused, not dropped: the caller gets a definite answer and the
       // connection keeps serving score traffic.
       std::vector<uint8_t> out;
       EncodeError(frame.header.request_id, "remote load disabled", &out);
-      error_frames_out_.fetch_add(1, std::memory_order_relaxed);
+      net_stats_.Add(&serve::NetStats::error_frames_out);
       QueueWrite(conn, std::move(out));
       return;
     }
@@ -712,13 +707,13 @@ void Server::HandleFrame(Connection* conn, Frame frame) {
       answer_error("malformed feedback frame");
       return;
     }
-    feedback_frames_.fetch_add(1, std::memory_order_relaxed);
+    net_stats_.Add(&serve::NetStats::feedback_frames);
     if (config_.feedback_log == nullptr) {
       // Refused, not dropped: the caller gets a definite answer and the
       // connection keeps serving score traffic.
       std::vector<uint8_t> out;
       EncodeError(frame.header.request_id, "feedback disabled", &out);
-      error_frames_out_.fetch_add(1, std::memory_order_relaxed);
+      net_stats_.Add(&serve::NetStats::error_frames_out);
       QueueWrite(conn, std::move(out));
       return;
     }
@@ -748,7 +743,7 @@ void Server::HandleFrame(Connection* conn, Frame frame) {
       answer_error("malformed page request");
       return;
     }
-    frames_in_.fetch_add(1, std::memory_order_relaxed);
+    net_stats_.Add(&serve::NetStats::frames_in);
     work.conn_id = conn->id;
     work.type = FrameType::kPageRequest;
     EnqueueWork(conn, std::move(work));
@@ -764,18 +759,14 @@ void Server::HandleFrame(Connection* conn, Frame frame) {
     answer_error("malformed score request");
     return;
   }
-  frames_in_.fetch_add(1, std::memory_order_relaxed);
+  net_stats_.Add(&serve::NetStats::frames_in);
   work.conn_id = conn->id;
   EnqueueWork(conn, std::move(work));
 }
 
 void Server::EnqueueWork(Connection* conn, Work work) {
   conn->inflight++;
-  int prev = max_inflight_.load(std::memory_order_relaxed);
-  while (prev < conn->inflight &&
-         !max_inflight_.compare_exchange_weak(prev, conn->inflight,
-                                              std::memory_order_relaxed)) {
-  }
+  net_stats_.Max(&serve::NetStats::max_inflight_per_conn, conn->inflight);
   {
     std::lock_guard<std::mutex> lock(work_mu_);
     work_.push_back(std::move(work));
@@ -799,7 +790,7 @@ void Server::QueueWriteTagged(Connection* conn, std::vector<uint8_t> bytes,
     // Slow client: it stopped reading while responses kept arriving.
     // Disconnecting bounds the server's memory; the client's unread
     // responses are counted as dropped.
-    closed_slow_.fetch_add(1, std::memory_order_relaxed);
+    net_stats_.Add(&serve::NetStats::closed_slow);
     CloseConnection(conn->id);
     return;
   }
@@ -822,13 +813,13 @@ void Server::WriteReady(Connection* conn) {
       CloseConnection(conn->id);
       return;
     }
-    bytes_out_.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
+    net_stats_.Add(&serve::NetStats::bytes_out, static_cast<uint64_t>(n));
     conn->wbuf_bytes -= static_cast<size_t>(n);
     conn->woff += static_cast<size_t>(n);
     conn->last_write_progress = Clock::now();
     if (conn->woff < front.bytes.size()) return;  // Socket buffer full.
     if (front.is_response) {
-      frames_out_.fetch_add(1, std::memory_order_relaxed);
+      net_stats_.Add(&serve::NetStats::frames_out);
     }
     conn->wbufs.pop_front();
     conn->woff = 0;
@@ -847,7 +838,7 @@ void Server::DrainCompletions() {
       // The connection died (slow client, protocol error, peer reset)
       // between submit and completion. A graceful drain never takes this
       // path — it waits for in-flight responses before closing anything.
-      dropped_responses_.fetch_add(1, std::memory_order_relaxed);
+      net_stats_.Add(&serve::NetStats::dropped_responses);
       continue;
     }
     Connection* conn = it->second.get();
@@ -867,10 +858,10 @@ void Server::CloseConnection(uint64_t conn_id) {
   for (const Connection::OutFrame& frame : conn->wbufs) {
     if (frame.is_response) ++lost;
   }
-  if (lost > 0) dropped_responses_.fetch_add(lost, std::memory_order_relaxed);
+  if (lost > 0) net_stats_.Add(&serve::NetStats::dropped_responses, lost);
   poller_->Watch(conn->fd, 0);
   ::close(conn->fd);
-  active_.fetch_sub(1, std::memory_order_relaxed);
+  net_stats_.Sub(&serve::NetStats::connections_active);
   connections_.erase(it);
 }
 
@@ -913,33 +904,13 @@ void Server::EnforceTimeouts() {
     }
   }
   for (const auto& [id, is_slow] : victims) {
-    (is_slow ? closed_slow_ : closed_idle_)
-        .fetch_add(1, std::memory_order_relaxed);
+    net_stats_.Add(is_slow ? &serve::NetStats::closed_slow
+                           : &serve::NetStats::closed_idle);
     CloseConnection(id);
   }
 }
 
-serve::NetStats Server::stats() const {
-  serve::NetStats s;
-  s.connections_accepted = accepted_.load(std::memory_order_relaxed);
-  s.connections_active = active_.load(std::memory_order_relaxed);
-  s.connections_rejected = rejected_.load(std::memory_order_relaxed);
-  s.closed_idle = closed_idle_.load(std::memory_order_relaxed);
-  s.closed_slow = closed_slow_.load(std::memory_order_relaxed);
-  s.closed_protocol_error = closed_protocol_.load(std::memory_order_relaxed);
-  s.frames_in = frames_in_.load(std::memory_order_relaxed);
-  s.frames_out = frames_out_.load(std::memory_order_relaxed);
-  s.error_frames_out = error_frames_out_.load(std::memory_order_relaxed);
-  s.decode_errors = decode_errors_.load(std::memory_order_relaxed);
-  s.bytes_in = bytes_in_.load(std::memory_order_relaxed);
-  s.bytes_out = bytes_out_.load(std::memory_order_relaxed);
-  s.dropped_responses = dropped_responses_.load(std::memory_order_relaxed);
-  s.stats_frames = stats_frames_.load(std::memory_order_relaxed);
-  s.load_frames = load_frames_.load(std::memory_order_relaxed);
-  s.feedback_frames = feedback_frames_.load(std::memory_order_relaxed);
-  s.max_inflight_per_conn = max_inflight_.load(std::memory_order_relaxed);
-  return s;
-}
+serve::NetStats Server::stats() const { return net_stats_.Snapshot(); }
 
 serve::RouterStats Server::StatsWithNet() const {
   serve::RouterStats stats = router_.stats();
@@ -949,21 +920,8 @@ serve::RouterStats Server::StatsWithNet() const {
     stats.online = config_.online_stats();
     stats.has_online = true;
   }
-  if (pages_served_.load(std::memory_order_relaxed) > 0) {
-    serve::PageStats& p = stats.page;
-    p.pages = pages_served_.load(std::memory_order_relaxed);
-    p.page_lists = page_lists_.load(std::memory_order_relaxed);
-    p.joint_pages = joint_pages_.load(std::memory_order_relaxed);
-    p.degraded_pages = degraded_pages_.load(std::memory_order_relaxed);
-    for (int i = 0; i < serve::PageStats::kListsHistBins; ++i) {
-      p.lists_per_page_hist[i] =
-          page_hist_[i].load(std::memory_order_relaxed);
-    }
-    p.redundancy_millitopics =
-        page_redundancy_mt_.load(std::memory_order_relaxed);
-    p.max_lists_per_page = page_max_lists_.load(std::memory_order_relaxed);
-    stats.has_page = true;
-  }
+  stats.page = page_stats_.Snapshot();
+  stats.has_page = stats.page.pages > 0;
   return stats;
 }
 

@@ -1,7 +1,6 @@
 #ifndef RAPID_NET_SERVER_H_
 #define RAPID_NET_SERVER_H_
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -241,34 +240,8 @@ class Server {
   std::thread loop_;
   std::vector<std::thread> dispatchers_;
 
-  // Counters (relaxed atomics; snapshotted by stats()).
-  std::atomic<uint64_t> accepted_{0};
-  std::atomic<uint64_t> active_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> closed_idle_{0};
-  std::atomic<uint64_t> closed_slow_{0};
-  std::atomic<uint64_t> closed_protocol_{0};
-  std::atomic<uint64_t> frames_in_{0};
-  std::atomic<uint64_t> frames_out_{0};
-  std::atomic<uint64_t> error_frames_out_{0};
-  std::atomic<uint64_t> decode_errors_{0};
-  std::atomic<uint64_t> bytes_in_{0};
-  std::atomic<uint64_t> bytes_out_{0};
-  std::atomic<uint64_t> dropped_responses_{0};
-  std::atomic<uint64_t> stats_frames_{0};
-  std::atomic<uint64_t> load_frames_{0};
-  std::atomic<uint64_t> feedback_frames_{0};
-  std::atomic<int> max_inflight_{0};
-
-  // Page-serving counters (see serve::PageStats).
-  std::atomic<uint64_t> pages_served_{0};
-  std::atomic<uint64_t> page_lists_{0};
-  std::atomic<uint64_t> joint_pages_{0};
-  std::atomic<uint64_t> degraded_pages_{0};
-  std::array<std::atomic<uint64_t>, serve::PageStats::kListsHistBins>
-      page_hist_{};
-  std::atomic<uint64_t> page_redundancy_mt_{0};
-  std::atomic<int> page_max_lists_{0};
+  serve::stats::LiveStats<serve::NetStats> net_stats_;
+  serve::stats::LiveStats<serve::PageStats> page_stats_;
 };
 
 }  // namespace rapid::net

@@ -47,9 +47,17 @@ struct Chunk {
   size_t used;  // payload bytes consumed
 };
 
+std::atomic<uint64_t> g_heap_allocs{0};
+std::atomic<uint64_t> g_heap_frees{0};
+std::atomic<uint64_t> g_arena_allocs{0};
+std::atomic<uint64_t> g_chunk_mallocs{0};
+std::atomic<uint64_t> g_reserved_bytes{0};
+std::atomic<uint64_t> g_high_water{0};
+
 // Constant-initialized (all initializers are constants) so operator new
 // can consult it at any point of static initialization without ordering
-// hazards. The destructor releases this thread's chunks at thread exit.
+// hazards. The destructor releases this thread's chunks at thread exit and
+// takes them out of the process-wide reserved gauge.
 struct ThreadArena {
   Chunk* head = nullptr;
   Chunk* cur = nullptr;
@@ -71,17 +79,12 @@ struct ThreadArena {
       std::free(c);
       c = next;
     }
+    g_reserved_bytes.fetch_sub(reserved, std::memory_order_relaxed);
+    reserved = 0;
   }
 };
 
 thread_local ThreadArena tl_arena;
-
-std::atomic<uint64_t> g_heap_allocs{0};
-std::atomic<uint64_t> g_heap_frees{0};
-std::atomic<uint64_t> g_arena_allocs{0};
-std::atomic<uint64_t> g_chunk_mallocs{0};
-std::atomic<uint64_t> g_reserved_bytes{0};
-std::atomic<uint64_t> g_high_water{0};
 
 inline uintptr_t AlignUp(uintptr_t p, size_t align) {
   return (p + align - 1) & ~static_cast<uintptr_t>(align - 1);

@@ -80,13 +80,13 @@ size_t ThreadBytesInUse();
 size_t ThreadHighWaterBytes();
 size_t ThreadReservedBytes();
 
-/// Process-wide aggregates for `ServingMetrics` export.
+/// Process-wide aggregates for `serve::ProcessStats` export.
 struct GlobalStats {
   uint64_t heap_allocs = 0;
   uint64_t heap_frees = 0;
   uint64_t arena_allocs = 0;
   uint64_t chunk_mallocs = 0;
-  uint64_t reserved_bytes = 0;    // live chunk capacity across all threads
+  uint64_t reserved_bytes = 0;    // chunk capacity of live threads' arenas
   uint64_t high_water_bytes = 0;  // max bytes-in-use seen by any one thread
 };
 

@@ -71,23 +71,23 @@ size_t OnlineTrainer::TrainRound(std::vector<FeedbackEvent>* events) {
   }
   events->clear();
   if (lists.empty()) return 0;
-  const uint64_t round = train_rounds_.load(std::memory_order_relaxed);
+  const uint64_t round = counters_.Snapshot().train_rounds;
   model_->FineTune(data_, lists, config_.seed + round,
                    config_.epochs_per_round);
-  train_rounds_.fetch_add(1, std::memory_order_relaxed);
-  trained_lists_.fetch_add(lists.size(), std::memory_order_relaxed);
+  counters_.Add(&serve::OnlineStats::train_rounds);
+  counters_.Add(&serve::OnlineStats::trained_lists, lists.size());
   ++rounds_since_publish_;
   return lists.size();
 }
 
 bool OnlineTrainer::Publish() {
   if (rounds_since_publish_ == 0) {
-    publish_skipped_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(&serve::OnlineStats::publish_skipped);
     return false;
   }
   if (!serve::Snapshot::Save(config_.snapshot_path, *model_, config_.family,
                              data_)) {
-    publish_rejected_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(&serve::OnlineStats::publish_rejected);
     return false;
   }
   // The canary-guarded swap: LoadSlot rebuilds the model from the
@@ -97,25 +97,18 @@ bool OnlineTrainer::Publish() {
   const uint64_t version = router_->LoadSlot(config_.slot,
                                              config_.snapshot_path);
   if (version == 0) {
-    publish_rejected_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(&serve::OnlineStats::publish_rejected);
     return false;
   }
-  publishes_.fetch_add(1, std::memory_order_relaxed);
-  last_published_version_.store(version, std::memory_order_relaxed);
+  counters_.Add(&serve::OnlineStats::publishes);
+  counters_.Max(&serve::OnlineStats::last_published_version, version);
   rounds_since_publish_ = 0;
   return true;
 }
 
 serve::OnlineStats OnlineTrainer::Stats() const {
-  serve::OnlineStats stats;
+  serve::OnlineStats stats = counters_.Snapshot();
   log_->FillStats(&stats);
-  stats.train_rounds = train_rounds_.load(std::memory_order_relaxed);
-  stats.trained_lists = trained_lists_.load(std::memory_order_relaxed);
-  stats.publishes = publishes_.load(std::memory_order_relaxed);
-  stats.publish_rejected = publish_rejected_.load(std::memory_order_relaxed);
-  stats.publish_skipped = publish_skipped_.load(std::memory_order_relaxed);
-  stats.last_published_version =
-      last_published_version_.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -106,12 +106,8 @@ class OnlineTrainer {
   std::atomic<bool> stop_{false};
   bool started_ = false;
 
-  std::atomic<uint64_t> train_rounds_{0};
-  std::atomic<uint64_t> trained_lists_{0};
-  std::atomic<uint64_t> publishes_{0};
-  std::atomic<uint64_t> publish_rejected_{0};
-  std::atomic<uint64_t> publish_skipped_{0};
-  std::atomic<uint64_t> last_published_version_{0};
+  /// The trainer's own OnlineStats fields (the log fills the feedback ones).
+  serve::stats::LiveStats<serve::OnlineStats> counters_;
   /// Rounds trained since the last accepted publish (trainer thread only).
   int rounds_since_publish_ = 0;
 };

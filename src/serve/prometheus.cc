@@ -1,7 +1,10 @@
 #include "serve/prometheus.h"
 
-#include <cinttypes>
 #include <cstdio>
+#include <string_view>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace rapid::serve {
 
@@ -25,265 +28,164 @@ std::string EscapeLabel(const std::string& value) {
   return out;
 }
 
+/// One block's values under one label set, e.g. a slot's serving stats.
+template <typename Block>
+using Series = std::vector<std::pair<const Block*, std::string>>;
+
 class Renderer {
  public:
-  void Header(const char* name, const char* help, const char* type) {
-    out_ += "# HELP ";
-    out_ += name;
-    out_ += ' ';
-    out_ += help;
-    out_ += "\n# TYPE ";
-    out_ += name;
-    out_ += ' ';
-    out_ += type;
+  /// Renders every declared field of `Block` as families named
+  /// `rapid_<prefix><metric>`, one sample per series. Consecutive fields
+  /// sharing a family (a `label` each) share one HELP/TYPE header.
+  template <typename Block>
+  void Render(const Series<Block>& series, const std::string& prefix) {
+    Block::Fields([&](const stats::Field& f, auto member) {
+      std::string family = "rapid_" + prefix + (f.metric ? f.metric : f.name);
+      using T = std::remove_cvref_t<decltype(series[0].first->*member)>;
+      if constexpr (stats::kIsHistogram<T>) {
+        if (std::string_view(f.label) == "le") {
+          Header(family, Help(f), "histogram");
+          for (const auto& [block, labels] : series) {
+            NativeHistogram(family, *block, block->*member, labels);
+          }
+          return;
+        }
+        family += "_total";
+        Header(family, Help(f), "counter");
+        for (const auto& [block, labels] : series) {
+          const T& bins = block->*member;
+          for (size_t i = 0; i < bins.size(); ++i) {
+            char bin[48];
+            std::snprintf(bin, sizeof(bin), "%s=\"%zu%s\"", f.label, i + 1,
+                          i + 1 == bins.size() ? "+" : "");
+            Sample(family, labels, bin, bins[i]);
+          }
+        }
+      } else {
+        const bool counter = f.kind == stats::Kind::kCounter;
+        if (counter) family += "_total";
+        Header(family, Help(f), counter ? "counter" : "gauge");
+        for (const auto& [block, labels] : series) {
+          Sample(family, labels, f.label ? f.label : "", block->*member);
+        }
+      }
+    });
+  }
+
+  template <typename Block>
+  void Render(const Block& block, const std::string& prefix) {
+    Render(Series<Block>{{&block, ""}}, prefix);
+  }
+
+  void Header(const std::string& family, const std::string& help,
+              const char* type) {
+    if (family == last_family_) return;
+    last_family_ = family;
+    out_.append("# HELP ").append(family).append(" ").append(help);
+    out_.append("\n# TYPE ").append(family).append(" ").append(type);
     out_ += '\n';
   }
 
-  void Counter(const char* name, const char* help, uint64_t value,
-               const std::string& labels = "") {
-    Header(name, help, "counter");
-    Sample(name, labels, value);
-  }
-
-  void Gauge(const char* name, const char* help, double value,
-             const std::string& labels = "") {
-    Header(name, help, "gauge");
-    Sample(name, labels, value);
-  }
-
+  /// Appends `name{labels..., extra} value`; `labels` is empty or a
+  /// braced label set, `extra` an optional further `key="value"` pair.
+  template <typename T>
   void Sample(const std::string& name, const std::string& labels,
-              uint64_t value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), " %" PRIu64 "\n", value);
-    out_ += name + labels + buf;
-  }
-
-  void Sample(const std::string& name, const std::string& labels,
-              double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), " %.6g\n", value);
-    out_ += name + labels + buf;
-  }
-
-  /// One native cumulative histogram from raw latency buckets. Empty
-  /// buckets are skipped (the series stays cumulative and valid); the
-  /// mandatory `+Inf` bucket, `_sum`, and `_count` always render.
-  void LatencyHistogram(const char* name, const ServingStats& stats,
-                        const std::string& labels) {
-    Header(name, "End-to-end request latency.", "histogram");
-    const std::string base = std::string(name) + "_bucket";
-    uint64_t cumulative = 0;
-    for (int i = 0; i < ServingStats::kLatencyHistBins; ++i) {
-      if (stats.latency_hist[i] == 0) continue;
-      cumulative += stats.latency_hist[i];
-      // A bucket's upper bound is the next bucket's representative value.
-      char le[64];
-      if (i + 1 < ServingStats::kLatencyHistBins) {
-        std::snprintf(le, sizeof(le), "%.6g",
-                      ServingStats::LatencyBucketValue(i + 1));
+              std::string_view extra, T value) {
+    out_ += name;
+    if (extra.empty()) {
+      out_ += labels;
+    } else {
+      if (labels.empty()) {
+        out_ += '{';
       } else {
-        std::snprintf(le, sizeof(le), "+Inf");
+        out_.append(labels, 0, labels.size() - 1) += ',';
       }
-      Sample(base, MergeLabels(labels, std::string("le=\"") + le + "\""),
-             cumulative);
+      out_.append(extra) += '}';
     }
-    Sample(base, MergeLabels(labels, "le=\"+Inf\""), cumulative);
-    Sample(std::string(name) + "_sum", labels,
-           stats.mean_us * static_cast<double>(stats.requests));
-    Sample(std::string(name) + "_count", labels, stats.requests);
+    out_ += ' ';
+    if constexpr (std::is_floating_point_v<T>) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.6g", value);
+      out_ += buf;
+    } else {
+      out_ += std::to_string(value);
+    }
+    out_ += '\n';
   }
 
   std::string Take() { return std::move(out_); }
 
  private:
-  static std::string MergeLabels(const std::string& labels,
-                                 const std::string& extra) {
-    if (labels.empty()) return "{" + extra + "}";
-    // labels is "{a="b"}" — splice the extra pair before the brace.
-    return labels.substr(0, labels.size() - 1) + "," + extra + "}";
+  static std::string Help(const stats::Field& f) {
+    return std::string(f.help) +
+           (f.scope == stats::Scope::kProcess ? " Process-wide." : "");
+  }
+
+  /// A native cumulative histogram from raw latency buckets. Empty buckets
+  /// are skipped (the series stays cumulative and valid); the mandatory
+  /// `+Inf` bucket, `_sum`, and `_count` always render.
+  template <typename Block, typename Bins>
+  void NativeHistogram(const std::string& family, const Block& block,
+                       const Bins& bins, const std::string& labels) {
+    const std::string bucket = family + "_bucket";
+    uint64_t cumulative = 0;
+    for (size_t i = 0; i + 1 < bins.size(); ++i) {
+      if (bins[i] == 0) continue;
+      cumulative += bins[i];
+      // A bucket's upper bound is the next bucket's representative value.
+      char le[48];
+      std::snprintf(le, sizeof(le), "le=\"%.6g\"",
+                    ServingStats::LatencyBucketValue(static_cast<int>(i + 1)));
+      Sample(bucket, labels, le, cumulative);
+    }
+    // The open-ended last bucket is the +Inf one (rendered exactly once).
+    cumulative += bins.back();
+    Sample(bucket, labels, "le=\"+Inf\"", cumulative);
+    double sum = 0.0;
+    if constexpr (requires { block.mean_us; }) {
+      sum = block.mean_us * static_cast<double>(block.requests);
+    }
+    Sample(family + "_sum", labels, "", sum);
+    Sample(family + "_count", labels, "", cumulative);
   }
 
   std::string out_;
+  std::string last_family_;
 };
-
-std::string SlotLabels(const RouterStats::SlotEntry& slot) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(slot.version));
-  return "{slot=\"" + EscapeLabel(slot.slot) + "\",model=\"" +
-         EscapeLabel(slot.model_name) + "\",version=\"" + buf + "\"}";
-}
 
 }  // namespace
 
 std::string RenderPrometheus(const RouterStats& stats) {
   Renderer r;
+  r.Render(stats.total, "");
+  r.Render(stats.cache, "cache_");
+  r.Render(stats, "");
+  if (stats.has_net) r.Render(stats.net, "net_");
+  if (stats.has_online) r.Render(stats.online, "online_");
+  if (stats.has_page) r.Render(stats.page, "page_");
+  r.Render(stats.process, "");
 
-  r.Counter("rapid_requests_total", "Completed requests.",
-            stats.total.requests);
-  r.Counter("rapid_fallbacks_total",
-            "Requests answered by the fallback heuristic.",
-            stats.total.fallbacks);
-  r.Counter("rapid_shed_total", "Requests rejected by admission control.",
-            stats.total.shed);
-  r.LatencyHistogram("rapid_request_latency_microseconds", stats.total, "");
-  r.Header("rapid_latency_quantile_microseconds",
-           "Precomputed latency percentile points.", "gauge");
-  r.Sample("rapid_latency_quantile_microseconds", "{quantile=\"0.5\"}",
-           stats.total.p50_us);
-  r.Sample("rapid_latency_quantile_microseconds", "{quantile=\"0.95\"}",
-           stats.total.p95_us);
-  r.Sample("rapid_latency_quantile_microseconds", "{quantile=\"0.99\"}",
-           stats.total.p99_us);
-  r.Gauge("rapid_max_latency_microseconds", "Largest observed latency.",
-          static_cast<double>(stats.total.max_us));
-  r.Gauge("rapid_max_queue_depth", "Highest queue depth observed at submit.",
-          stats.total.max_queue_depth);
-  r.Counter("rapid_model_batches_total",
-            "Model-bound micro-batches executed.", stats.total.batches);
-  r.Counter("rapid_batched_lists_total",
-            "Requests served through micro-batches.",
-            stats.total.batched_lists);
-
-  r.Counter("rapid_cache_hits_total", "Result-cache hits.", stats.cache.hits);
-  r.Counter("rapid_cache_misses_total", "Result-cache misses.",
-            stats.cache.misses);
-  r.Counter("rapid_cache_inserts_total", "Result-cache inserts.",
-            stats.cache.inserts);
-  r.Counter("rapid_cache_evictions_total", "Result-cache LRU evictions.",
-            stats.cache.evictions);
-  r.Counter("rapid_cache_negative_hits_total",
-            "Rejected requests answered from the negative cache.",
-            stats.cache.negative_hits);
-
-  r.Counter("rapid_unknown_slot_total",
-            "Requests naming no registered slot.", stats.unknown_slot);
-  r.Counter("rapid_invalid_ids_total",
-            "Requests rejected by the id bounds check.", stats.invalid_ids);
-  r.Counter("rapid_canary_rejected_total",
-            "Snapshots rejected by a canary probe before publish.",
-            stats.canary_rejected);
-  r.Counter("rapid_quota_shed_total",
-            "Requests shed by a per-slot admission quota.", stats.quota_shed);
-
-  if (stats.has_net) {
-    const NetStats& n = stats.net;
-    r.Counter("rapid_net_connections_accepted_total",
-              "Connections accepted.", n.connections_accepted);
-    r.Gauge("rapid_net_connections_active", "Currently open connections.",
-            static_cast<double>(n.connections_active));
-    r.Counter("rapid_net_connections_rejected_total",
-              "Accepts refused at the connection cap.",
-              n.connections_rejected);
-    r.Header("rapid_net_closed_total",
-             "Connections closed by protective limits.", "counter");
-    r.Sample("rapid_net_closed_total", "{reason=\"idle\"}", n.closed_idle);
-    r.Sample("rapid_net_closed_total", "{reason=\"slow\"}", n.closed_slow);
-    r.Sample("rapid_net_closed_total", "{reason=\"protocol\"}",
-             n.closed_protocol_error);
-    r.Counter("rapid_net_frames_in_total", "Score requests parsed.",
-              n.frames_in);
-    r.Counter("rapid_net_frames_out_total", "Response frames written.",
-              n.frames_out);
-    r.Counter("rapid_net_error_frames_total", "Error frames sent.",
-              n.error_frames_out);
-    r.Counter("rapid_net_decode_errors_total",
-              "Frames whose payload failed strict decoding.", n.decode_errors);
-    r.Counter("rapid_net_bytes_in_total", "Bytes read.", n.bytes_in);
-    r.Counter("rapid_net_bytes_out_total", "Bytes written.", n.bytes_out);
-    r.Counter("rapid_net_dropped_responses_total",
-              "Responses whose connection was gone at completion.",
-              n.dropped_responses);
-    r.Counter("rapid_net_stats_frames_total", "Stats scrapes parsed.",
-              n.stats_frames);
-    r.Counter("rapid_net_load_frames_total", "Remote load requests parsed.",
-              n.load_frames);
-    r.Counter("rapid_net_feedback_frames_total", "Feedback frames parsed.",
-              n.feedback_frames);
+  if (stats.slots.empty()) return r.Take();
+  Series<ServingStats> slot_stats;
+  Series<CacheStats> slot_cache;
+  for (const auto& slot : stats.slots) {
+    const std::string labels = "{slot=\"" + EscapeLabel(slot.slot) +
+                               "\",model=\"" + EscapeLabel(slot.model_name) +
+                               "\",version=\"" + std::to_string(slot.version) +
+                               "\"}";
+    slot_stats.emplace_back(&slot.stats, labels);
+    slot_cache.emplace_back(&slot.cache, labels);
   }
-
-  if (stats.has_online) {
-    const OnlineStats& o = stats.online;
-    r.Counter("rapid_online_feedback_appended_total",
-              "Feedback events accepted into the log.", o.feedback_appended);
-    r.Counter("rapid_online_feedback_dropped_total",
-              "Feedback events rejected by the bounded log.",
-              o.feedback_dropped);
-    r.Counter("rapid_online_feedback_drained_total",
-              "Feedback events handed to the trainer.", o.feedback_drained);
-    r.Counter("rapid_online_train_rounds_total",
-              "Fine-tune rounds completed.", o.train_rounds);
-    r.Counter("rapid_online_trained_lists_total",
-              "Feedback lists consumed by training.", o.trained_lists);
-    r.Counter("rapid_online_publishes_total",
-              "Snapshots published through the canary-guarded LoadSlot.",
-              o.publishes);
-    r.Counter("rapid_online_publish_rejected_total",
-              "Publishes rejected by the canary or snapshot I/O.",
-              o.publish_rejected);
-    r.Counter("rapid_online_publish_skipped_total",
-              "Publish cadences skipped for lack of new feedback.",
-              o.publish_skipped);
-    r.Gauge("rapid_online_last_published_version",
-            "Slot version of the newest accepted publish.",
-            static_cast<double>(o.last_published_version));
+  r.Render(slot_stats, "slot_");
+  r.Render(slot_cache, "slot_cache_");
+  r.Header("rapid_slot_version", "Published model version per slot.",
+           "gauge");
+  for (const auto& slot : stats.slots) {
+    r.Sample("rapid_slot_version",
+             "{slot=\"" + EscapeLabel(slot.slot) + "\",model=\"" +
+                 EscapeLabel(slot.model_name) + "\"}",
+             "", slot.version);
   }
-
-  if (stats.has_page) {
-    const PageStats& p = stats.page;
-    r.Counter("rapid_page_pages_total",
-              "Page requests served end to end.", p.pages);
-    r.Counter("rapid_page_lists_total",
-              "Candidate lists carried by page requests.", p.page_lists);
-    r.Counter("rapid_page_joint_total",
-              "Pages served with the joint cross-list pass.", p.joint_pages);
-    r.Counter("rapid_page_degraded_total",
-              "Pages with at least one degraded list.", p.degraded_pages);
-    r.Counter("rapid_page_redundancy_millitopics_total",
-              "Cross-list redundancy observed on served pages.",
-              p.redundancy_millitopics);
-    r.Gauge("rapid_page_max_lists", "Largest page seen, in lists.",
-            static_cast<double>(p.max_lists_per_page));
-    r.Header("rapid_page_lists_per_page_total",
-             "Pages by number of lists carried.", "counter");
-    for (int i = 0; i < PageStats::kListsHistBins; ++i) {
-      char label[48];
-      std::snprintf(label, sizeof(label), "{lists=\"%d%s\"}", i + 1,
-                    i + 1 == PageStats::kListsHistBins ? "+" : "");
-      r.Sample("rapid_page_lists_per_page_total", label,
-               p.lists_per_page_hist[i]);
-    }
-  }
-
-  if (!stats.slots.empty()) {
-    r.Header("rapid_slot_requests_total", "Completed requests per slot.",
-             "counter");
-    for (const auto& slot : stats.slots) {
-      r.Sample("rapid_slot_requests_total", SlotLabels(slot),
-               slot.stats.requests);
-    }
-    r.Header("rapid_slot_fallbacks_total",
-             "Fallback-answered requests per slot.", "counter");
-    for (const auto& slot : stats.slots) {
-      r.Sample("rapid_slot_fallbacks_total", SlotLabels(slot),
-               slot.stats.fallbacks);
-    }
-    r.Header("rapid_slot_cache_hits_total", "Result-cache hits per slot.",
-             "counter");
-    for (const auto& slot : stats.slots) {
-      r.Sample("rapid_slot_cache_hits_total", SlotLabels(slot),
-               slot.cache.hits);
-    }
-    r.Header("rapid_slot_version", "Published model version per slot.",
-             "gauge");
-    for (const auto& slot : stats.slots) {
-      r.Sample("rapid_slot_version",
-               "{slot=\"" + EscapeLabel(slot.slot) + "\",model=\"" +
-                   EscapeLabel(slot.model_name) + "\"}",
-               slot.version);
-    }
-  }
-
   return r.Take();
 }
 

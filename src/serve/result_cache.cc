@@ -31,21 +31,6 @@ CachePolicy Sanitized(CachePolicy policy) {
 
 }  // namespace
 
-CacheStats ResultCache::Counters::Snapshot() const {
-  CacheStats s;
-  s.hits = hits.load(std::memory_order_relaxed);
-  s.misses = misses.load(std::memory_order_relaxed);
-  s.inserts = inserts.load(std::memory_order_relaxed);
-  s.evictions = evictions.load(std::memory_order_relaxed);
-  s.expired = expired.load(std::memory_order_relaxed);
-  s.bypass = bypass.load(std::memory_order_relaxed);
-  s.swept = swept.load(std::memory_order_relaxed);
-  s.deferred = deferred.load(std::memory_order_relaxed);
-  s.negative_hits = negative_hits.load(std::memory_order_relaxed);
-  s.negative_inserts = negative_inserts.load(std::memory_order_relaxed);
-  return s;
-}
-
 ResultCache::ResultCache(CachePolicy policy)
     : policy_(Sanitized(std::move(policy))),
       per_shard_capacity_(std::max<size_t>(
@@ -92,6 +77,11 @@ bool ResultCache::EnabledFor(const std::string& slot) const {
                    slot) == policy_.bypass_slots.end();
 }
 
+void ResultCache::Count(Counters& slot, uint64_t CacheStats::*field) {
+  total_.Add(field);
+  slot.Add(field);
+}
+
 ResultCache::Counters& ResultCache::CountersFor(const std::string& slot) {
   std::lock_guard<std::mutex> lock(slots_mu_);
   std::unique_ptr<Counters>& counters = slot_counters_[slot];
@@ -100,8 +90,7 @@ ResultCache::Counters& ResultCache::CountersFor(const std::string& slot) {
 }
 
 void ResultCache::RecordBypass(const std::string& slot) {
-  total_.bypass.fetch_add(1, std::memory_order_relaxed);
-  CountersFor(slot).bypass.fetch_add(1, std::memory_order_relaxed);
+  Count(CountersFor(slot), &CacheStats::bypass);
 }
 
 std::optional<ResultCache::CachedResult> ResultCache::Lookup(
@@ -112,22 +101,18 @@ std::optional<ResultCache::CachedResult> ResultCache::Lookup(
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
   if (it == shard.index.end()) {
-    total_.misses.fetch_add(1, std::memory_order_relaxed);
-    counters.misses.fetch_add(1, std::memory_order_relaxed);
+    Count(counters, &CacheStats::misses);
     return std::nullopt;
   }
   if (ExpiredAt(*it->second, Clock::now())) {
     shard.lru.erase(it->second);
     shard.index.erase(it);
-    total_.expired.fetch_add(1, std::memory_order_relaxed);
-    counters.expired.fetch_add(1, std::memory_order_relaxed);
-    total_.misses.fetch_add(1, std::memory_order_relaxed);
-    counters.misses.fetch_add(1, std::memory_order_relaxed);
+    Count(counters, &CacheStats::expired);
+    Count(counters, &CacheStats::misses);
     return std::nullopt;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  total_.hits.fetch_add(1, std::memory_order_relaxed);
-  counters.hits.fetch_add(1, std::memory_order_relaxed);
+  Count(counters, &CacheStats::hits);
   return it->second->result;
 }
 
@@ -156,20 +141,16 @@ void ResultCache::Insert(const std::string& slot, uint64_t version,
     uint64_t& cell = shard.seen[h % shard.seen.size()];
     if (cell != h) {
       cell = h;
-      total_.deferred.fetch_add(1, std::memory_order_relaxed);
-      counters.deferred.fetch_add(1, std::memory_order_relaxed);
+      Count(counters, &CacheStats::deferred);
       return;
     }
   }
   shard.lru.push_front(Entry{std::move(key), std::move(result), Clock::now()});
   shard.index.emplace(shard.lru.front().key, shard.lru.begin());
-  total_.inserts.fetch_add(1, std::memory_order_relaxed);
-  counters.inserts.fetch_add(1, std::memory_order_relaxed);
+  Count(counters, &CacheStats::inserts);
   while (shard.lru.size() > per_shard_capacity_) {
     const Entry& victim = shard.lru.back();
-    total_.evictions.fetch_add(1, std::memory_order_relaxed);
-    CountersFor(victim.key.slot)
-        .evictions.fetch_add(1, std::memory_order_relaxed);
+    Count(CountersFor(victim.key.slot), &CacheStats::evictions);
     shard.index.erase(victim.key);
     shard.lru.pop_back();
   }
@@ -187,14 +168,12 @@ std::optional<std::vector<int>> ResultCache::LookupNegative(
     shard.lru.erase(it->second);
     shard.index.erase(it);
     Counters& counters = CountersFor(slot);
-    total_.expired.fetch_add(1, std::memory_order_relaxed);
-    counters.expired.fetch_add(1, std::memory_order_relaxed);
+    Count(counters, &CacheStats::expired);
     return std::nullopt;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   Counters& counters = CountersFor(slot);
-  total_.negative_hits.fetch_add(1, std::memory_order_relaxed);
-  counters.negative_hits.fetch_add(1, std::memory_order_relaxed);
+  Count(counters, &CacheStats::negative_hits);
   return it->second->result.items;
 }
 
@@ -218,13 +197,10 @@ void ResultCache::InsertNegative(const std::string& slot, uint64_t fingerprint,
                              CachedResult{std::move(items), "", 0},
                              Clock::now()});
   shard.index.emplace(shard.lru.front().key, shard.lru.begin());
-  total_.negative_inserts.fetch_add(1, std::memory_order_relaxed);
-  counters.negative_inserts.fetch_add(1, std::memory_order_relaxed);
+  Count(counters, &CacheStats::negative_inserts);
   while (shard.lru.size() > per_shard_capacity_) {
     const Entry& victim = shard.lru.back();
-    total_.evictions.fetch_add(1, std::memory_order_relaxed);
-    CountersFor(victim.key.slot)
-        .evictions.fetch_add(1, std::memory_order_relaxed);
+    Count(CountersFor(victim.key.slot), &CacheStats::evictions);
     shard.index.erase(victim.key);
     shard.lru.pop_back();
   }
@@ -235,7 +211,7 @@ void ResultCache::ScheduleSweep(std::string slot, uint64_t live_version) {
   {
     std::lock_guard<std::mutex> lock(sweep_mu_);
     if (stop_) return;
-    pending_sweeps_.emplace_back(std::move(slot), live_version);
+    pending_sweeps_.push_back({std::move(slot), live_version, Clock::now()});
   }
   sweep_cv_.notify_one();
 }
@@ -254,24 +230,25 @@ void ResultCache::SweeperLoop() {
       if (stop_) return;
       continue;
     }
-    const auto [slot, live_version] = std::move(pending_sweeps_.front());
+    const Sweep sweep = std::move(pending_sweeps_.front());
     pending_sweeps_.pop_front();
     sweep_active_ = true;
     lock.unlock();
-    SweepSlot(slot, live_version);
+    SweepSlot(sweep);
     lock.lock();
     sweep_active_ = false;
     if (pending_sweeps_.empty()) sweep_idle_cv_.notify_all();
   }
 }
 
-void ResultCache::SweepSlot(const std::string& slot, uint64_t live_version) {
+void ResultCache::SweepSlot(const Sweep& sweep) {
   const Clock::time_point now = Clock::now();
   for (std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     for (auto it = shard->lru.begin(); it != shard->lru.end();) {
       const bool dead_version =
-          it->key.slot == slot && it->key.version != live_version;
+          it->key.slot == sweep.slot && it->key.version != sweep.live_version &&
+          (it->key.version != 0 || it->inserted_at < sweep.scheduled_at);
       const bool aged_out = ExpiredAt(*it, now);
       if (!dead_version && !aged_out) {
         ++it;
@@ -279,11 +256,9 @@ void ResultCache::SweepSlot(const std::string& slot, uint64_t live_version) {
       }
       Counters& counters = CountersFor(it->key.slot);
       if (dead_version) {
-        total_.swept.fetch_add(1, std::memory_order_relaxed);
-        counters.swept.fetch_add(1, std::memory_order_relaxed);
+        Count(counters, &CacheStats::swept);
       } else {
-        total_.expired.fetch_add(1, std::memory_order_relaxed);
-        counters.expired.fetch_add(1, std::memory_order_relaxed);
+        Count(counters, &CacheStats::expired);
       }
       shard->index.erase(it->key);
       it = shard->lru.erase(it);

@@ -61,7 +61,8 @@ struct CachePolicy {
   /// heuristic. Entries are keyed under the reserved version 0 (registry
   /// versions start at 1, so they can never shadow a real result) and are
   /// swept like any dead version when the slot publishes — a slot that
-  /// comes into existence invalidates its own unknown-slot entries. The
+  /// comes into existence invalidates its own unknown-slot entries (the
+  /// ones inserted before the publish; later ones are current). The
   /// TTL should be short: between an insert racing a publish and the
   /// sweep, a stale negative entry can answer degraded for at most one
   /// TTL. Requires `enabled`.
@@ -207,26 +208,16 @@ class ResultCache {
     /// mapped there. Guarded by `mu`; empty when the policy is off.
     std::vector<uint64_t> seen;
   };
-  /// Per-slot (and aggregate) counters; all relaxed atomics.
-  struct Counters {
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> inserts{0};
-    std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> expired{0};
-    std::atomic<uint64_t> bypass{0};
-    std::atomic<uint64_t> swept{0};
-    std::atomic<uint64_t> deferred{0};
-    std::atomic<uint64_t> negative_hits{0};
-    std::atomic<uint64_t> negative_inserts{0};
-    CacheStats Snapshot() const;
-  };
+  /// Per-slot (and aggregate) counters.
+  using Counters = stats::LiveStats<CacheStats>;
 
   Shard& ShardFor(const Key& key) {
     return *shards_[KeyHash{}(key) % shards_.size()];
   }
   /// Find-or-create the counter block for `slot` (short leaf lock).
   Counters& CountersFor(const std::string& slot);
+  /// Counts one event in `field` for `slot` and in the aggregate.
+  void Count(Counters& slot, uint64_t CacheStats::*field);
   bool ExpiredAt(const Entry& entry, Clock::time_point now) const {
     // Version 0 marks a negative entry, which lives on its own (short)
     // TTL; positive entries use the regular one.
@@ -237,9 +228,19 @@ class ResultCache {
   }
 
   void SweeperLoop();
-  /// Erases `slot` entries on dead versions (and any TTL-expired entry it
-  /// walks past) across all shards.
-  void SweepSlot(const std::string& slot, uint64_t live_version);
+  /// One publish's cleanup: `slot` entries on versions other than
+  /// `live_version` are dead, except negative (version-0) entries
+  /// inserted at or after `scheduled_at` — those were answered against
+  /// the new publish and stay valid.
+  struct Sweep {
+    std::string slot;
+    uint64_t live_version = 0;
+    Clock::time_point scheduled_at;
+  };
+
+  /// Erases the sweep's dead entries (and any TTL-expired entry it walks
+  /// past) across all shards.
+  void SweepSlot(const Sweep& sweep);
 
   const CachePolicy policy_;
   const size_t per_shard_capacity_;
@@ -252,7 +253,7 @@ class ResultCache {
   std::mutex sweep_mu_;
   std::condition_variable sweep_cv_;
   std::condition_variable sweep_idle_cv_;
-  std::deque<std::pair<std::string, uint64_t>> pending_sweeps_;
+  std::deque<Sweep> pending_sweeps_;
   bool sweep_active_ = false;
   bool stop_ = false;
   std::thread sweeper_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "serve/snapshot.h"
 
@@ -499,6 +498,7 @@ RouterStats ServingRouter::stats() const {
   out.invalid_ids = invalid_ids_.load(std::memory_order_relaxed);
   out.canary_rejected = canary_rejected_.load(std::memory_order_relaxed);
   out.quota_shed = quota_shed_.load(std::memory_order_relaxed);
+  out.process = ProcessStats::Capture();
   for (const std::string& name : registry_.Names()) {
     const auto served = registry_.Acquire(name);
     if (served == nullptr) continue;  // Removed since Names().
@@ -509,26 +509,15 @@ RouterStats ServingRouter::stats() const {
 }
 
 std::string RouterStats::ToTable() const {
-  std::string out = "aggregate:\n" + total.ToTable() + cache.ToTable();
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "  unknown slot    %10llu\n"
-                "  invalid ids     %10llu\n"
-                "  canary rejected %10llu\n"
-                "  quota shed      %10llu\n",
-                static_cast<unsigned long long>(unknown_slot),
-                static_cast<unsigned long long>(invalid_ids),
-                static_cast<unsigned long long>(canary_rejected),
-                static_cast<unsigned long long>(quota_shed));
-  out += line;
+  std::string out = "aggregate:\n" + total.ToTable() + cache.ToTable() +
+                    stats::RenderTable(*this);
   if (has_net) out += net.ToTable();
   if (has_online) out += online.ToTable();
   if (has_page) out += page.ToTable();
+  out += process.ToTable();
   for (const SlotEntry& slot : slots) {
-    std::snprintf(line, sizeof(line), "slot %s (%s v%llu):\n",
-                  slot.slot.c_str(), slot.model_name.c_str(),
-                  static_cast<unsigned long long>(slot.version));
-    out += line;
+    out += "slot " + slot.slot + " (" + slot.model_name + " v" +
+           std::to_string(slot.version) + "):\n";
     out += slot.stats.ToTable();
     out += slot.cache.ToTable();
   }
@@ -541,28 +530,14 @@ std::string RouterStats::ToJson() const {
   if (has_net) out += ", \"net\": " + net.ToJson();
   if (has_online) out += ", \"online\": " + online.ToJson();
   if (has_page) out += ", \"page\": " + page.ToJson();
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                ", \"unknown_slot\": %llu, \"invalid_ids\": %llu, "
-                "\"canary_rejected\": %llu, \"quota_shed\": %llu, "
-                "\"slots\": {",
-                static_cast<unsigned long long>(unknown_slot),
-                static_cast<unsigned long long>(invalid_ids),
-                static_cast<unsigned long long>(canary_rejected),
-                static_cast<unsigned long long>(quota_shed));
-  out += buf;
-  bool first = true;
+  out += ", \"process\": " + process.ToJson();
+  out += ", " + stats::RenderJsonMembers(*this) + ", \"slots\": {";
   for (const SlotEntry& slot : slots) {
-    std::snprintf(buf, sizeof(buf), "%s\"%s\": {\"model\": \"%s\", "
-                  "\"version\": %llu, \"stats\": ",
-                  first ? "" : ", ", slot.slot.c_str(),
-                  slot.model_name.c_str(),
-                  static_cast<unsigned long long>(slot.version));
-    out += buf;
-    out += slot.stats.ToJson();
-    out += ", \"cache\": " + slot.cache.ToJson();
-    out += "}";
-    first = false;
+    if (&slot != &slots.front()) out += ", ";
+    out += "\"" + slot.slot + "\": {\"model\": \"" + slot.model_name +
+           "\", \"version\": " + std::to_string(slot.version) +
+           ", \"stats\": " + slot.stats.ToJson() +
+           ", \"cache\": " + slot.cache.ToJson() + "}";
   }
   out += "}}";
   return out;

@@ -101,21 +101,13 @@ struct RouterStats {
   ServingStats total;
   /// Aggregate result-cache counters across all slots.
   CacheStats cache;
-  /// Requests whose slot key matched no registered slot (answered by the
-  /// fallback heuristic, counted in `total` only).
+  /// Router-level rejection counters; see `Fields`.
   uint64_t unknown_slot = 0;
-  /// Requests rejected before reaching any model because they referenced
-  /// user or item ids outside the dataset (or mismatched score/item
-  /// lengths) — a remote caller probing the serving tier. Answered
-  /// degraded, in submitted order.
   uint64_t invalid_ids = 0;
-  /// Snapshots rejected by a canary probe before publish (`LoadSlot`
-  /// returned 0 and the slot kept serving its previous version).
   uint64_t canary_rejected = 0;
-  /// Requests shed because their slot's queue-depth quota
-  /// (`AdmissionConfig::slot_quotas`) was exhausted — also counted in the
-  /// regular `shed` totals; this isolates the per-tenant cause.
   uint64_t quota_shed = 0;
+  /// Process-wide numbers, captured once per snapshot (not per slot).
+  ProcessStats process;
   /// Connection-layer counters, filled by `net::Server::StatsWithNet` when
   /// a network front-end wraps this router; absent for in-process use.
   bool has_net = false;
@@ -130,6 +122,32 @@ struct RouterStats {
   /// for servers that never saw a `kPageRequest` frame.
   bool has_page = false;
   PageStats page;
+
+  /// The declared table of the router's own counters (the nested blocks
+  /// declare theirs).
+  template <typename F>
+  static void Fields(F&& f) {
+    using stats::Field;
+    constexpr auto kCounter = stats::Kind::kCounter;
+    // Answered by the fallback heuristic, counted in `total` only.
+    f(Field{1, "unknown_slot", kCounter, "requests",
+            "Requests naming no registered slot."},
+      &RouterStats::unknown_slot);
+    // User or item ids outside the dataset, or mismatched score/item
+    // lengths: a remote caller probing the serving tier. Answered
+    // degraded, in submitted order.
+    f(Field{2, "invalid_ids", kCounter, "requests",
+            "Requests rejected by the id bounds check."},
+      &RouterStats::invalid_ids);
+    // LoadSlot returned 0 and the slot kept serving its previous version.
+    f(Field{3, "canary_rejected", kCounter, "snapshots",
+            "Snapshots rejected by a canary probe before publish."},
+      &RouterStats::canary_rejected);
+    // Also counted in `shed`; this isolates the per-tenant cause.
+    f(Field{4, "quota_shed", kCounter, "requests",
+            "Requests shed by a per-slot admission quota."},
+      &RouterStats::quota_shed);
+  }
 
   std::string ToTable() const;
   /// One JSON object: `{"total": {...}, "unknown_slot": n, "slots": {...}}`.

@@ -4,123 +4,11 @@
 
 namespace rapid::serve {
 
-namespace {
-
-/// Request-weighted average of one per-shard point. Used for `mean_us`
-/// (where it is exact) and as the percentile fallback for histogram-less
-/// peers (where it is an approximation; see the header note).
-double WeightedPercentile(double a, uint64_t wa, double b, uint64_t wb) {
-  const uint64_t total = wa + wb;
-  if (total == 0) return 0.0;
-  return (a * static_cast<double>(wa) + b * static_cast<double>(wb)) /
-         static_cast<double>(total);
-}
-
-}  // namespace
-
-void MergeInto(ServingStats* dst, const ServingStats& src) {
-  // Sum the raw histograms first; if the merged histogram has samples the
-  // fleet percentiles are recomputed exactly from it below. The weighted
-  // average only survives as a fallback for stats from peers that predate
-  // histogram transport (their latency_hist is all zero).
-  const double fallback_p50 = WeightedPercentile(dst->p50_us, dst->requests,
-                                                 src.p50_us, src.requests);
-  const double fallback_p95 = WeightedPercentile(dst->p95_us, dst->requests,
-                                                 src.p95_us, src.requests);
-  const double fallback_p99 = WeightedPercentile(dst->p99_us, dst->requests,
-                                                 src.p99_us, src.requests);
-  dst->mean_us = WeightedPercentile(dst->mean_us, dst->requests, src.mean_us,
-                                    src.requests);
-  for (int i = 0; i < ServingStats::kLatencyHistBins; ++i) {
-    dst->latency_hist[i] += src.latency_hist[i];
-  }
-  if (dst->HasLatencyHist()) {
-    dst->RecomputeLatencyPercentiles();
-  } else {
-    dst->p50_us = fallback_p50;
-    dst->p95_us = fallback_p95;
-    dst->p99_us = fallback_p99;
-  }
-  dst->requests += src.requests;
-  dst->fallbacks += src.fallbacks;
-  dst->shed += src.shed;
-  dst->max_us = std::max(dst->max_us, src.max_us);
-  dst->max_queue_depth = std::max(dst->max_queue_depth, src.max_queue_depth);
-  dst->batches += src.batches;
-  dst->batched_lists += src.batched_lists;
-  dst->max_batch_size = std::max(dst->max_batch_size, src.max_batch_size);
-  for (int i = 0; i < ServingStats::kBatchHistBins; ++i) {
-    dst->batch_size_hist[i] += src.batch_size_hist[i];
-  }
-}
-
-void MergeInto(CacheStats* dst, const CacheStats& src) {
-  dst->hits += src.hits;
-  dst->misses += src.misses;
-  dst->inserts += src.inserts;
-  dst->evictions += src.evictions;
-  dst->expired += src.expired;
-  dst->bypass += src.bypass;
-  dst->swept += src.swept;
-  dst->deferred += src.deferred;
-  dst->negative_hits += src.negative_hits;
-  dst->negative_inserts += src.negative_inserts;
-}
-
-void MergeInto(NetStats* dst, const NetStats& src) {
-  dst->connections_accepted += src.connections_accepted;
-  dst->connections_active += src.connections_active;
-  dst->connections_rejected += src.connections_rejected;
-  dst->closed_idle += src.closed_idle;
-  dst->closed_slow += src.closed_slow;
-  dst->closed_protocol_error += src.closed_protocol_error;
-  dst->frames_in += src.frames_in;
-  dst->frames_out += src.frames_out;
-  dst->error_frames_out += src.error_frames_out;
-  dst->decode_errors += src.decode_errors;
-  dst->bytes_in += src.bytes_in;
-  dst->bytes_out += src.bytes_out;
-  dst->dropped_responses += src.dropped_responses;
-  dst->stats_frames += src.stats_frames;
-  dst->load_frames += src.load_frames;
-  dst->feedback_frames += src.feedback_frames;
-  dst->max_inflight_per_conn =
-      std::max(dst->max_inflight_per_conn, src.max_inflight_per_conn);
-}
-
-void MergeInto(OnlineStats* dst, const OnlineStats& src) {
-  dst->feedback_appended += src.feedback_appended;
-  dst->feedback_dropped += src.feedback_dropped;
-  dst->feedback_drained += src.feedback_drained;
-  dst->train_rounds += src.train_rounds;
-  dst->trained_lists += src.trained_lists;
-  dst->publishes += src.publishes;
-  dst->publish_rejected += src.publish_rejected;
-  dst->publish_skipped += src.publish_skipped;
-  dst->last_published_version =
-      std::max(dst->last_published_version, src.last_published_version);
-}
-
-void MergeInto(PageStats* dst, const PageStats& src) {
-  dst->pages += src.pages;
-  dst->page_lists += src.page_lists;
-  dst->joint_pages += src.joint_pages;
-  dst->degraded_pages += src.degraded_pages;
-  for (int i = 0; i < PageStats::kListsHistBins; ++i) {
-    dst->lists_per_page_hist[i] += src.lists_per_page_hist[i];
-  }
-  dst->redundancy_millitopics += src.redundancy_millitopics;
-  dst->max_lists_per_page =
-      std::max(dst->max_lists_per_page, src.max_lists_per_page);
-}
-
 void MergeInto(RouterStats* dst, const RouterStats& src) {
   MergeInto(&dst->total, src.total);
   MergeInto(&dst->cache, src.cache);
-  dst->unknown_slot += src.unknown_slot;
-  dst->invalid_ids += src.invalid_ids;
-  dst->canary_rejected += src.canary_rejected;
-  dst->quota_shed += src.quota_shed;
+  MergeInto<RouterStats>(dst, src);  // The router's own declared counters.
+  MergeInto(&dst->process, src.process);
   if (src.has_net) {
     MergeInto(&dst->net, src.net);
     dst->has_net = true;

@@ -1,7 +1,6 @@
 #include "shard/shard_router.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "serve/stats_merge.h"
@@ -384,48 +383,20 @@ FleetStats ShardRouter::Stats() {
 }
 
 std::string FleetStats::ToTable() const {
-  std::string out;
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "fleet        %10d shards up / %d\n",
-                shards_up, static_cast<int>(shards.size()));
-  out += buf;
+  std::string out = "fleet " + std::to_string(shards_up) + " shards up / " +
+                    std::to_string(shards.size()) + "\n";
   for (size_t i = 0; i < shards.size(); ++i) {
-    const ShardStats& s = shards[i];
-    std::snprintf(buf, sizeof(buf),
-                  "shard %-6zu %10llu sent, %llu ok, %llu err, %llu fail, "
-                  "%llu timeout, %llu redial %s\n",
-                  i, static_cast<unsigned long long>(s.sent),
-                  static_cast<unsigned long long>(s.ok),
-                  static_cast<unsigned long long>(s.error_frames),
-                  static_cast<unsigned long long>(s.failed),
-                  static_cast<unsigned long long>(s.timeouts),
-                  static_cast<unsigned long long>(s.reconnects),
-                  s.healthy ? "[up]" : "[down]");
-    out += buf;
+    out += "shard " + std::to_string(i) + ":\n" +
+           serve::stats::RenderTable(shards[i]);
   }
-  out += merged.ToTable();
-  return out;
+  return out + merged.ToTable();
 }
 
 std::string FleetStats::ToJson() const {
   std::string out = "{\"shards_up\":" + std::to_string(shards_up);
   out += ",\"shards\":[";
   for (size_t i = 0; i < shards.size(); ++i) {
-    const ShardStats& s = shards[i];
-    if (i > 0) out += ',';
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"sent\":%llu,\"ok\":%llu,\"error_frames\":%llu,"
-                  "\"failed\":%llu,\"timeouts\":%llu,\"reconnects\":%llu,"
-                  "\"healthy\":%s}",
-                  static_cast<unsigned long long>(s.sent),
-                  static_cast<unsigned long long>(s.ok),
-                  static_cast<unsigned long long>(s.error_frames),
-                  static_cast<unsigned long long>(s.failed),
-                  static_cast<unsigned long long>(s.timeouts),
-                  static_cast<unsigned long long>(s.reconnects),
-                  s.healthy ? "true" : "false");
-    out += buf;
+    out += (i > 0 ? "," : "") + serve::stats::RenderJson(shards[i]);
   }
   out += "],\"merged\":" + merged.ToJson() + "}";
   return out;

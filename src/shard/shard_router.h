@@ -50,18 +50,38 @@ struct ShardRouterConfig {
 /// Client-side counters of one shard connection.
 struct ShardStats {
   uint64_t sent = 0;
-  /// Score responses correlated back to a caller.
   uint64_t ok = 0;
-  /// Server error frames surfaced to callers.
   uint64_t error_frames = 0;
-  /// Requests failed locally: shard down at submit, send failure, or
-  /// connection death with the request in flight.
   uint64_t failed = 0;
-  /// Requests failed by the timeout scan.
   uint64_t timeouts = 0;
-  /// Successful redials after a connection died.
   uint64_t reconnects = 0;
   bool healthy = false;
+
+  template <typename F>
+  static void Fields(F&& f) {
+    using serve::stats::Field;
+    using K = serve::stats::Kind;
+    f(Field{1, "sent", K::kCounter, "requests", "Requests sent."},
+      &ShardStats::sent);
+    f(Field{2, "ok", K::kCounter, "requests",
+            "Score responses correlated back to a caller."},
+      &ShardStats::ok);
+    f(Field{3, "error_frames", K::kCounter, "requests",
+            "Server error frames surfaced to callers."},
+      &ShardStats::error_frames);
+    f(Field{4, "failed", K::kCounter, "requests",
+            "Requests failed locally: shard down at submit, send failure, "
+            "or connection death with the request in flight."},
+      &ShardStats::failed);
+    f(Field{5, "timeouts", K::kCounter, "requests",
+            "Requests failed by the timeout scan."},
+      &ShardStats::timeouts);
+    f(Field{6, "reconnects", K::kCounter, "redials",
+            "Successful redials after a connection died."},
+      &ShardStats::reconnects);
+    f(Field{7, "healthy", K::kGauge, "", "Shard connection is up."},
+      &ShardStats::healthy);
+  }
 };
 
 /// One answered (or failed) fan-out request.

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "click/dcm.h"
@@ -74,6 +75,24 @@ TEST(ArenaTest, GlobalStatsAggregateThreadCounters) {
   EXPECT_GT(stats.arena_allocs, 0u);
   EXPECT_GT(stats.reserved_bytes, 0u);
   EXPECT_GT(stats.high_water_bytes, 0u);
+}
+
+TEST(ArenaTest, ThreadExitReturnsItsChunksToTheReservedGauge) {
+  if (!arena::Enabled()) GTEST_SKIP() << "arena disabled";
+  const uint64_t before = arena::GlobalArenaStats().reserved_bytes;
+  uint64_t during = 0;
+  std::thread worker([&during] {
+    {
+      arena::ArenaScope scope;
+      std::vector<float> v(4096);
+      v[0] = 1.0f;
+    }
+    during = arena::GlobalArenaStats().reserved_bytes;
+  });
+  worker.join();
+  EXPECT_GT(during, before);
+  // The gauge means live reservations: a finished worker holds none.
+  EXPECT_EQ(arena::GlobalArenaStats().reserved_bytes, before);
 }
 
 class ArenaServingTest : public ::testing::Test {

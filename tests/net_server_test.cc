@@ -665,7 +665,9 @@ class NetSwapTest : public ::testing::Test {
     cfg.hidden_dim = hidden;
     core::RapidReranker model(cfg);
     model.Fit(data_, train_, seed);
-    const std::string path = ::testing::TempDir() + "/" + file;
+    // One file per process: ctest runs the fixture's tests in parallel.
+    const std::string path = ::testing::TempDir() + "/" +
+                             std::to_string(::getpid()) + "_" + file;
     EXPECT_TRUE(serve::Snapshot::Save(path, model, data_));
     return path;
   }

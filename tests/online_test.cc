@@ -8,6 +8,7 @@
 #include <string>
 #include <thread>
 #include <vector>
+#include <unistd.h>
 
 #include "click/dcm.h"
 #include "core/rapid.h"
@@ -234,7 +235,9 @@ class OnlineLoopTest : public ::testing::Test {
 
   std::string SnapshotOf(const core::RapidReranker& model,
                          const std::string& file) {
-    const std::string path = ::testing::TempDir() + "/" + file;
+    // One file per process: ctest runs the fixture's tests in parallel.
+    const std::string path = ::testing::TempDir() + "/" +
+                             std::to_string(::getpid()) + "_" + file;
     EXPECT_TRUE(serve::Snapshot::Save(path, model, data_));
     return path;
   }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -176,6 +177,8 @@ TEST(PrometheusTest, EveryLineIsACommentOrASample) {
   stats.page.lists_per_page_hist[0] = 1;
   stats.page.lists_per_page_hist[7] = 2;
   stats.total.latency_hist[3] = 7;
+  // The open-ended last bucket is the +Inf bucket, not a second one.
+  stats.total.latency_hist[serve::ServingStats::kLatencyHistBins - 1] = 1;
   serve::RouterStats::SlotEntry slot;
   slot.slot = "a";
   slot.model_name = "m";
@@ -186,6 +189,7 @@ TEST(PrometheusTest, EveryLineIsACommentOrASample) {
   EXPECT_EQ(text.back(), '\n');  // Exposition format requires a final \n.
   std::istringstream lines(text);
   std::string line;
+  std::set<std::string> series;
   while (std::getline(lines, line)) {
     ASSERT_FALSE(line.empty());
     if (line[0] == '#') {
@@ -203,6 +207,7 @@ TEST(PrometheusTest, EveryLineIsACommentOrASample) {
     EXPECT_NO_THROW((void)std::stod(value)) << line;
     const std::string name = line.substr(0, space);
     EXPECT_EQ(name.rfind("rapid_", 0), 0u) << line;
+    EXPECT_TRUE(series.insert(name).second) << "duplicate series: " << line;
   }
 }
 

@@ -8,6 +8,7 @@
 #include <string>
 #include <thread>
 #include <vector>
+#include <unistd.h>
 
 #include "click/dcm.h"
 #include "core/rapid.h"
@@ -344,7 +345,9 @@ class RouterCacheModelTest : public ::testing::Test {
     model_cfg.hidden_dim = 8;
     model_ = std::make_unique<core::RapidReranker>(model_cfg);
     model_->Fit(data_, train_, /*seed=*/11);
-    path_ = ::testing::TempDir() + "/result_cache_model.rsnp";
+    // One file per process: ctest runs the fixture's tests in parallel.
+    path_ = ::testing::TempDir() + "/" + std::to_string(::getpid()) +
+            "_result_cache_model.rsnp";
     ASSERT_TRUE(serve::Snapshot::Save(path_, *model_, data_));
   }
 
@@ -441,6 +444,21 @@ TEST(ResultCacheTest, NegativeEntriesHaveOwnTtlAndCounters) {
   const serve::CacheStats stats = cache.TotalStats();
   EXPECT_EQ(stats.negative_inserts, 1u);
   EXPECT_EQ(stats.negative_hits, 1u);
+}
+
+TEST(ResultCacheTest, PublishSweepKeepsNegativesAnsweredAfterIt) {
+  serve::CachePolicy policy = UnitPolicy(8);
+  policy.negative_ttl_us = 5'000'000;
+  serve::ResultCache cache(policy);
+  cache.InsertNegative("m", 1, {9, 8, 7});  // Answered before the publish.
+  cache.ScheduleSweep("m", /*live_version=*/1);
+  cache.InsertNegative("m", 2, {6, 5});  // Answered after it.
+  cache.DrainSweeps();
+  // However late the background sweep ran, it removes only the entry
+  // that predates the publish.
+  EXPECT_FALSE(cache.LookupNegative("m", 1).has_value());
+  EXPECT_TRUE(cache.LookupNegative("m", 2).has_value());
+  EXPECT_EQ(cache.TotalStats().swept, 1u);
 }
 
 TEST(ResultCacheTest, NegativeCachingDisabledWithoutTtl) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <thread>
 #include <vector>
+#include <unistd.h>
 
 #include "click/dcm.h"
 #include "core/rapid.h"
@@ -457,7 +458,9 @@ class RouterSnapshotTest : public ::testing::Test {
     cfg.hidden_dim = hidden;
     core::RapidReranker model(cfg);
     model.Fit(data_, train_, seed);
-    const std::string path = ::testing::TempDir() + "/" + file;
+    // One file per process: ctest runs the fixture's tests in parallel.
+    const std::string path = ::testing::TempDir() + "/" +
+                             std::to_string(::getpid()) + "_" + file;
     EXPECT_TRUE(serve::Snapshot::Save(path, model, data_));
     return path;
   }
