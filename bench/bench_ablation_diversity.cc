@@ -8,8 +8,9 @@
 
 #include "bench/bench_common.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rapid;
+  bench::BenchArgs::Parse(argc, argv);  // No modes: only rejects typos.
   const std::vector<std::string> columns = {"click@5", "div@5", "click@10",
                                             "div@10"};
 

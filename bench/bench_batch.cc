@@ -9,8 +9,8 @@
 //                      reproduce ScoreList bitwise, list by list.
 //  - "compute":        direct model calls, per-list loop vs ScoreBatch in
 //                      chunks of 8 — the pure forward-pass batching win.
-//  - "fetch+compute":  `serve::ServingEngine` at 2 workers with a
-//                      per-*batch* feature-fetch stall (a batched
+//  - "fetch+compute":  a one-slot `serve::ServingRouter` at 2 workers
+//                      with a per-*batch* feature-fetch stall (a batched
 //                      feature-store RPC), micro-batch 1 vs 8. The
 //                      headline: batching amortizes the fetch, and the
 //                      speedup at batch 8 must be >= 1.5x.
@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <future>
 #include <memory>
 #include <random>
@@ -37,7 +36,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "serve/engine.h"
+#include "serve/router.h"
 #include "serve/snapshot.h"
 
 namespace {
@@ -104,11 +103,8 @@ std::vector<ImpressionList> MixedLengthLists(
 
 int main(int argc, char** argv) {
   using namespace rapid;
-  bool quick = false, check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--check") == 0) check = true;
-  }
+  const bench::BenchArgs args = bench::BenchArgs::Parse(argc, argv);
+  const bool quick = args.quick, check = args.check;
 
   eval::PipelineConfig config;
   config.sim.kind = data::DatasetKind::kTaobao;
@@ -212,29 +208,31 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Fetch+compute phase: the serving engine with a per-batch fetch
+  // --- Fetch+compute phase: a one-slot router with a per-batch fetch
   // stall, micro-batch 1 vs 8 at a fixed 2 workers. This isolates the
-  // batching win from thread scaling (cf. bench_serving).
-  const FetchStallBatchReranker served(*model, /*stall_us=*/1500);
+  // batching win from thread scaling.
+  const auto served = std::make_shared<const FetchStallBatchReranker>(
+      *model, /*stall_us=*/1500);
   double batch1_median = 0.0, fetch_speedup = 0.0;
-  bool engine_exact = true;
+  bool serving_exact = true;
   serve::ServingStats batch8_stats;
   for (const int max_batch : {1, 8}) {
     serve::ServingStats stats;  // From the last repetition.
     const bench::RepeatStats reps = bench::Repeat(repetitions, [&] {
-      serve::ServingConfig serving;
+      serve::RouterConfig serving;
       serving.num_threads = 2;
       serving.max_batch = max_batch;
       serving.max_wait_us = 100;
       serving.queue_capacity = 256;
       serving.deadline_us = 0;  // Deterministic: every request runs the model.
-      serve::ServingEngine engine(env.dataset(), served, serving);
+      serve::ServingRouter router(env.dataset(), serving);
+      router.InstallSlot("main", served);
 
       const auto t0 = std::chrono::steady_clock::now();
-      std::vector<std::future<serve::RerankResponse>> futures;
+      std::vector<std::future<serve::RouterResponse>> futures;
       futures.reserve(stream.size());
       for (const ImpressionList* list : stream) {
-        futures.push_back(engine.Submit(*list));
+        futures.push_back(router.Submit({"main", serve::Lane::kHigh, *list}));
       }
       std::vector<std::vector<int>> responses;
       responses.reserve(futures.size());
@@ -242,14 +240,14 @@ int main(int argc, char** argv) {
       const double secs = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
-      engine.Shutdown();
-      stats = engine.stats();
+      router.Shutdown();
+      stats = router.stats().total;
 
-      if (max_batch == 8 && engine_exact) {
+      if (max_batch == 8 && serving_exact) {
         // Batched serving must return exactly what the direct per-list
         // call returns, request by request.
-        for (size_t i = 0; i < responses.size() && engine_exact; ++i) {
-          engine_exact =
+        for (size_t i = 0; i < responses.size() && serving_exact; ++i) {
+          serving_exact =
               responses[i] == model->Rerank(env.dataset(), *stream[i]);
         }
       }
@@ -283,8 +281,8 @@ int main(int argc, char** argv) {
     results_json += row + stats.ToJson() + "}";
   }
   std::fprintf(stderr,
-               "[batch] engine batched-vs-direct results: %s\n",
-               engine_exact ? "IDENTICAL" : "MISMATCH");
+               "[batch] router batched-vs-direct results: %s\n",
+               serving_exact ? "IDENTICAL" : "MISMATCH");
 
   std::printf(
       "{\"bench\": \"batch\", \"requests\": %d, \"list_len\": %d, "
@@ -294,12 +292,12 @@ int main(int argc, char** argv) {
       "\"results\": [\n%s\n]}\n",
       total_requests, config.list_len, repetitions,
       std::thread::hardware_concurrency(), exact ? "true" : "false",
-      engine_exact ? "true" : "false", compute_speedup, fetch_speedup,
+      serving_exact ? "true" : "false", compute_speedup, fetch_speedup,
       results_json.c_str());
 
   if (check) {
     bool ok = true;
-    if (!exact || !engine_exact) {
+    if (!exact || !serving_exact) {
       std::fprintf(stderr, "[batch] CHECK FAILED: batched path not exact\n");
       ok = false;
     }
@@ -312,7 +310,7 @@ int main(int argc, char** argv) {
     }
     if (batch8_stats.batches == 0 || batch8_stats.max_batch_size < 2) {
       std::fprintf(stderr,
-                   "[batch] CHECK FAILED: engine never realized a "
+                   "[batch] CHECK FAILED: router never realized a "
                    "multi-request batch (batches=%llu, max=%d)\n",
                    static_cast<unsigned long long>(batch8_stats.batches),
                    batch8_stats.max_batch_size);

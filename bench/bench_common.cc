@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <sstream>
 
@@ -29,15 +30,20 @@ std::string RunMethodSweep(const eval::Environment& env,
 BenchArgs BenchArgs::Parse(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) args.json = true;
-    if (std::strcmp(argv[i], "--quick") == 0) args.quick = true;
-    if (std::strcmp(argv[i], "--check") == 0) args.check = true;
+    if (std::strcmp(argv[i], "--json") == 0) {
+      args.json = true;
+    } else if (std::strcmp(argv[i], "--quick") == 0) {
+      args.quick = true;
+    } else if (std::strcmp(argv[i], "--check") == 0) {
+      args.check = true;
+    } else {
+      std::fprintf(stderr, "usage: %s [--json] [--quick] [--check]\n",
+                   argv[0]);
+      std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], argv[i]);
+      std::exit(2);
+    }
   }
   return args;
-}
-
-bool JsonFlag(int argc, char** argv) {
-  return BenchArgs::Parse(argc, argv).json;
 }
 
 std::string RepeatStats::SamplesJson() const {

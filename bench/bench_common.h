@@ -102,12 +102,14 @@ std::string RunMethodSweep(const eval::Environment& env,
                            const std::string& title,
                            eval::ResultTable* table_out = nullptr);
 
-/// The standard perf-bench command line, parsed in exactly one place. All
-/// bench binaries accept the same three flags (unknown arguments are
-/// ignored so wrappers can pass extras through):
+/// The bench command line, parsed in exactly one place. Every bench binary
+/// accepts the same three flags, each a no-op where the bench has no such
+/// mode:
 ///   --json   machine-readable output for perf/run_ledger.sh
 ///   --quick  reduced workload for gates and CI
 ///   --check  enforce the bench's acceptance thresholds (exit 1 on fail)
+/// Any other argument prints usage and exits 2, so a typo'd flag never
+/// runs the default configuration.
 struct BenchArgs {
   bool json = false;
   bool quick = false;
@@ -115,12 +117,6 @@ struct BenchArgs {
 
   static BenchArgs Parse(int argc, char** argv);
 };
-
-/// True when the command line contains `--json`. Bench binaries use this to
-/// switch from the human-readable paper tables to machine-readable output
-/// for perf-trajectory tracking. (Equivalent to `BenchArgs::Parse(...).json`
-/// — kept for the table/figure binaries that take no other flags.)
-bool JsonFlag(int argc, char** argv);
 
 /// Result of repeating one timed measurement `K` times (see `Repeat`).
 /// Perf benches report `median` under the ledger's canonical metric key

@@ -15,8 +15,9 @@
 
 #include "bench/bench_common.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rapid;
+  bench::BenchArgs::Parse(argc, argv);  // No modes: only rejects typos.
   const std::vector<std::string> columns = {"click@10", "div@10"};
 
   std::printf("Figure 3: ablation analysis of RAPID (lambda=0.5; see header note).\n\n");

@@ -5,8 +5,9 @@
 
 #include "bench/bench_common.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rapid;
+  bench::BenchArgs::Parse(argc, argv);  // No modes: only rejects typos.
   const std::vector<std::string> columns = {"click@10", "div@10"};
 
   std::printf("Figure 4: RAPID with different hidden sizes (lambda=0.9).\n\n");

@@ -33,7 +33,8 @@ void PrintDistribution(const char* title, const std::vector<float>& dist) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  rapid::bench::BenchArgs::Parse(argc, argv);  // No modes: only rejects typos.
   std::printf(
       "Figure 5: genres of history vs RAPID's top-ranked items for a "
       "diverse and a focused user.\n\n");

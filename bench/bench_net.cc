@@ -39,13 +39,13 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <random>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "click/dcm.h"
 #include "core/rapid.h"
 #include "datagen/simulator.h"
@@ -120,10 +120,7 @@ class RawSocket {
 
 int main(int argc, char** argv) {
   using namespace rapid;
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  const bool quick = bench::BenchArgs::Parse(argc, argv).quick;
 
   // ------------------------------------------------------------- environment
   std::fprintf(stderr, "[net] building dataset + training a snapshot...\n");

@@ -38,7 +38,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <random>
 #include <string>
@@ -47,6 +46,7 @@
 #include <vector>
 
 #include "bandit/linear_rapid.h"
+#include "bench/bench_common.h"
 #include "click/dcm.h"
 #include "core/rapid.h"
 #include "datagen/simulator.h"
@@ -257,12 +257,8 @@ ArmResult RunArm(bool with_online_loop, const rapid::data::Dataset& base,
 
 int main(int argc, char** argv) {
   using namespace rapid;
-  bool quick = false;
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--check") == 0) check = true;
-  }
+  const bench::BenchArgs args = bench::BenchArgs::Parse(argc, argv);
+  const bool quick = args.quick, check = args.check;
 
   data::SimConfig sim;
   sim.kind = data::DatasetKind::kTaobao;

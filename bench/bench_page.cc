@@ -32,7 +32,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -59,11 +58,8 @@ using Clock = std::chrono::steady_clock;
 
 int main(int argc, char** argv) {
   using namespace rapid;
-  bool quick = false, check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--check") == 0) check = true;
-  }
+  const bench::BenchArgs args = bench::BenchArgs::Parse(argc, argv);
+  const bool quick = args.quick, check = args.check;
   bool failed = false;
 
   // ------------------------------------------------------------- environment

@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "bandit/linear_rapid.h"
+#include "bench/bench_common.h"
 #include "datagen/simulator.h"
 
 namespace {
@@ -29,8 +30,9 @@ void PrintCurve(const char* name, const rapid::bandit::RegretCurve& curve) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rapid;
+  bench::BenchArgs::Parse(argc, argv);  // No modes: only rejects typos.
 
   data::SimConfig sim;
   sim.kind = data::DatasetKind::kTaobao;

@@ -10,8 +10,9 @@
 #include "click/cascade.h"
 #include "metrics/metrics.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rapid;
+  bench::BenchArgs::Parse(argc, argv);  // No modes: only rejects typos.
 
   std::printf(
       "Cascade-environment robustness check (extension; lambda=0.7).\n\n");

@@ -37,7 +37,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <future>
 #include <memory>
@@ -46,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "click/dcm.h"
 #include "core/rapid.h"
 #include "datagen/simulator.h"
@@ -131,12 +131,8 @@ struct ShardProcess {
 
 int main(int argc, char** argv) {
   using namespace rapid;
-  bool quick = false;
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--check") == 0) check = true;
-  }
+  const bench::BenchArgs args = bench::BenchArgs::Parse(argc, argv);
+  const bool quick = args.quick, check = args.check;
 
   // ------------------------------------------------------------- environment
   // Dataset + snapshots are built in the parent BEFORE any fork so the

@@ -8,7 +8,7 @@
 
 int main(int argc, char** argv) {
   using namespace rapid;
-  const bool json = bench::JsonFlag(argc, argv);
+  const bool json = bench::BenchArgs::Parse(argc, argv).json;
   const std::vector<std::string> columns = {
       "click@5",  "ndcg@5",  "div@5",  "satis@5",
       "click@10", "ndcg@10", "div@10", "satis@10"};

@@ -201,13 +201,14 @@ void PrintJson() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (bench::JsonFlag(argc, argv)) {
+  // Google Benchmark consumes its --benchmark_* flags; the rest are ours.
+  benchmark::Initialize(&argc, argv);
+  if (bench::BenchArgs::Parse(argc, argv).json) {
     PrintJson();
     return 0;
   }
   PrintTrainAll();
   RegisterAll();
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,8 +4,9 @@
 // 2. Persist it as a self-describing snapshot (config header + weights).
 // 3. Rehydrate the snapshot as a serving process would — no training code,
 //    no knowledge of the training-time configuration.
-// 4. Stand up a ServingEngine (worker pool + micro-batching + deadline
-//    fallback) and answer concurrent re-ranking requests.
+// 4. Stand up a one-slot ServingRouter (worker pool + micro-batching +
+//    deadline fallback), LoadSlot the snapshot into it, and answer
+//    concurrent re-ranking requests.
 //
 // Build & run:  ./build/examples/serve_quickstart
 
@@ -16,7 +17,7 @@
 #include "core/rapid.h"
 #include "eval/pipeline.h"
 #include "rankers/din.h"
-#include "serve/engine.h"
+#include "serve/router.h"
 #include "serve/snapshot.h"
 
 int main() {
@@ -57,22 +58,26 @@ int main() {
   }
 
   // ---- Online: serve ----------------------------------------------------
-  serve::ServingConfig serving;
+  serve::RouterConfig serving;
   serving.num_threads = 4;
   serving.max_batch = 8;
   serving.max_wait_us = 200;
   serving.deadline_us = 50'000;  // 50ms, then fall back to the initial order.
-  serve::ServingEngine engine(env.dataset(), *model, serving);
+  serve::ServingRouter router(env.dataset(), serving);
+  if (router.LoadSlot("main", path) == 0) {
+    std::printf("LoadSlot failed\n");
+    return 1;
+  }
 
   std::printf("Submitting %zu concurrent requests on %d workers...\n",
               env.test_lists().size(), serving.num_threads);
-  std::vector<std::future<serve::RerankResponse>> futures;
+  std::vector<std::future<serve::RouterResponse>> futures;
   for (const data::ImpressionList& list : env.test_lists()) {
-    futures.push_back(engine.Submit(list));
+    futures.push_back(router.Submit({"main", serve::Lane::kHigh, list}));
   }
 
-  // First response in detail: the engine's answer must equal a direct call.
-  serve::RerankResponse first = futures.front().get();
+  // First response in detail: the router's answer must equal a direct call.
+  serve::RouterResponse first = futures.front().get();
   const data::ImpressionList& request = env.test_lists().front();
   const bool identical = first.items == model->Rerank(env.dataset(), request);
   std::printf("First response: %zu items in %lldus, degraded=%d, "
@@ -82,8 +87,8 @@ int main() {
   for (auto& f : futures) {
     if (f.valid()) f.wait();
   }
-  engine.Shutdown();
+  router.Shutdown();
 
-  std::printf("\nServing metrics:\n%s", engine.stats().ToTable().c_str());
+  std::printf("\nServing metrics:\n%s", router.stats().ToTable().c_str());
   return identical ? 0 : 1;
 }

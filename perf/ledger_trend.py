@@ -4,10 +4,10 @@
 Compares the most recent entry under perf/ledger/ (filenames start with a
 UTC timestamp, so lexicographic order is chronological) against the
 *median* of the preceding window of entries (``--window``, default 5) and
-fails when a latency or throughput metric regressed beyond the threshold:
-
-  * keys ending in ``p99_us``          -- lower is better
-  * keys ending in ``throughput_rps``  -- higher is better
+fails when a trended metric regressed beyond the threshold. ``METRICS``
+below declares which leaf keys are trended and whether lower or higher is
+better; every other numeric leaf is a parameter, a count or a side key
+(``_min``, ``_samples``) and is not trended.
 
 The windowed median makes the baseline robust to one anomalously fast or
 slow historical run: a single lucky entry can no longer make every
@@ -16,23 +16,24 @@ mask a real slide. With a window of 1 this degenerates to the previous
 pairwise behaviour.
 
 A flagged metric must regress beyond the threshold against *both* the
-windowed median and the best window observation (lowest p99 / highest
-throughput). The window entries sample the same machine-noise
-distribution as the new run -- on a single-core CI box back-to-back runs
-of an identical binary can differ by 40%+ -- so a new value that some
-recent run already matched is within observed variance, while a genuine
-code regression lands worse than every recent observation.
+windowed median and the best window observation (lowest for a
+lower-is-better key, highest otherwise). The window entries sample the
+same machine-noise distribution as the new run -- on a single-core CI box
+back-to-back runs of an identical binary can differ by 40%+ -- so a new
+value that some recent run already matched is within observed variance,
+while a genuine code regression lands worse than every recent
+observation.
 
 Metrics are matched per bench (by the ``"bench"`` field of each entry in
 the ledger's ``benches`` array) and per JSON path, so adding a new bench
 or a new metric never trips the gate -- only a metric present in the
-latest entry *and* at least one window entry can regress. Sub-floor p99s
-(microsecond-scale cache hits and the like) are skipped: at that
-magnitude scheduler noise swamps any signal. A p99 regression must also
-move by at least ``--min-delta-us`` in absolute terms -- the serving
-metrics histogram is log-bucketed, so at millisecond magnitudes one
-bucket step between adjacent runs already exceeds a 20% ratio without
-meaning anything.
+latest entry *and* at least one window entry can regress. Sub-floor
+latencies (keys in ``us``; microsecond-scale cache hits and the like) are
+skipped: at that magnitude scheduler noise swamps any signal. A latency
+regression must also move by at least ``--min-delta-us`` in absolute
+terms -- the serving metrics histogram is log-bucketed, so at millisecond
+magnitudes one bucket step between adjacent runs already exceeds a 20%
+ratio without meaning anything.
 
 Usage:
   perf/ledger_trend.py [--ledger-dir DIR] [--threshold 0.20]
@@ -50,18 +51,59 @@ import os
 import statistics
 import sys
 
+# The trended leaf keys, in the shape of BENCHMARK.json's "end_to_end"
+# entries. A leaf key is the last name on a metric's JSON path: "p99_us"
+# in "results[2].stats.p99_us".
+METRICS = [
+    # Latency tails (serving stats, wire, shards).
+    {"name": "p99_us", "unit": "us", "better": "lower"},
+    {"name": "healthy_p99_us", "unit": "us", "better": "lower"},
+    # Throughput.
+    {"name": "throughput_rps", "unit": "req/s", "better": "higher"},
+    {"name": "page_lists_per_sec", "unit": "lists/s", "better": "higher"},
+    {"name": "single_lists_per_sec", "unit": "lists/s", "better": "higher"},
+    # Kernels (bench_nn_micro).
+    {"name": "gflops", "unit": "GFLOP/s", "better": "higher"},
+    {"name": "melems", "unit": "Melem/s", "better": "higher"},
+    {"name": "rows_per_sec", "unit": "rows/s", "better": "higher"},
+    {"name": "steps_per_sec", "unit": "steps/s", "better": "higher"},
+    {"name": "layers_per_sec", "unit": "layers/s", "better": "higher"},
+    # Speedups behind the tier-2 ratio gates.
+    {"name": "forward_speedup", "unit": "x", "better": "higher"},
+    {"name": "compute_speedup", "unit": "x", "better": "higher"},
+    {"name": "fetch_compute_speedup", "unit": "x", "better": "higher"},
+    {"name": "speedup_2x", "unit": "x", "better": "higher"},
+    {"name": "speedup_4x", "unit": "x", "better": "higher"},
+    {"name": "ratio", "unit": "x", "better": "higher"},  # Page frame.
+    # Page quality (bench_page, page-level DCM).
+    {"name": "joint_utility", "unit": "dcm", "better": "higher"},
+    {"name": "indep_utility", "unit": "dcm", "better": "higher"},
+    {"name": "joint_coverage", "unit": "topics", "better": "higher"},
+    {"name": "indep_coverage", "unit": "topics", "better": "higher"},
+    {"name": "joint_redundancy", "unit": "topics", "better": "lower"},
+    {"name": "indep_redundancy", "unit": "topics", "better": "lower"},
+    {"name": "joint_spent", "unit": "mass", "better": "lower"},
+    {"name": "indep_spent", "unit": "mass", "better": "lower"},
+]
+DIRECTION = {m["name"]: m for m in METRICS}
+
+
+def leaf_key(path):
+    """The last name on a JSON path, without any list index."""
+    return path.rsplit(".", 1)[-1].split("[", 1)[0]
+
 
 def collect_metrics(node, path, out):
-    """Flattens numeric p99/throughput leaves into {json.path: value}."""
+    """Flattens the trended numeric leaves into {json.path: value}."""
     if isinstance(node, dict):
         for key, value in node.items():
             collect_metrics(value, f"{path}.{key}" if path else key, out)
     elif isinstance(node, list):
         for i, value in enumerate(node):
             collect_metrics(value, f"{path}[{i}]", out)
-    elif isinstance(node, (int, float)):
-        if path.endswith("p99_us") or path.endswith("throughput_rps"):
-            out[path] = float(node)
+    elif (isinstance(node, (int, float)) and not isinstance(node, bool)
+          and leaf_key(path) in DIRECTION):
+        out[path] = float(node)
 
 
 def entry_metrics(ledger):
@@ -96,10 +138,11 @@ def main():
                         help="history entries (before the latest) whose "
                              "median forms the baseline")
     parser.add_argument("--min-p99-us", type=float, default=200.0,
-                        help="ignore p99 metrics below this baseline")
+                        help="ignore latency (us) metrics below this baseline")
     parser.add_argument("--min-delta-us", type=float, default=1000.0,
-                        help="a p99 regression must also grow by this many "
-                             "microseconds (histogram-bucket noise guard)")
+                        help="a latency regression must also grow by this "
+                             "many microseconds (histogram-bucket noise "
+                             "guard)")
     args = parser.parse_args()
     if args.window < 1:
         print("ledger_trend: --window must be >= 1")
@@ -142,25 +185,25 @@ def main():
         old = statistics.median(samples)
         if new is None or old <= 0.0:
             continue
-        if path.endswith("p99_us"):
-            if old < args.min_p99_us:
-                continue  # Microsecond-scale noise, not signal.
+        metric = DIRECTION[leaf_key(path)]
+        latency = metric["unit"] == "us"
+        if latency and old < args.min_p99_us:
+            continue  # Microsecond-scale noise, not signal.
+        ratio = new / old
+        if metric["better"] == "lower":
             best = min(samples)
-            ratio = new / old
             worse = (ratio > 1.0 + args.threshold and
-                     new - old >= args.min_delta_us and
+                     (not latency or new - old >= args.min_delta_us) and
                      best > 0.0 and new / best > 1.0 + args.threshold)
-            arrow = "p99"
         else:
             best = max(samples)
-            ratio = new / old
             worse = (ratio < 1.0 - args.threshold and
                      new / best < 1.0 - args.threshold)
-            arrow = "rps"
         compared += 1
         status = "REGRESSED" if worse else "ok"
-        print(f"  [{bench}] {path}: median {old:.1f} (best {best:.1f}) -> "
-              f"{new:.1f} ({arrow} ratio {ratio:.2f}) {status}")
+        print(f"  [{bench}] {path}: median {old:.6g} (best {best:.6g}) -> "
+              f"{new:.6g} ({metric['unit']}, {metric['better']} is better, "
+              f"ratio {ratio:.2f}) {status}")
         if worse:
             regressions.append(f"{bench}:{path}")
 

@@ -5,7 +5,8 @@
 # the repo a queryable history of serving/perf numbers per revision.
 #
 # Usage:
-#   perf/run_ledger.sh           # quick set: serving + router + cache
+#   perf/run_ledger.sh           # quick set: kernels, batching, wire,
+#                                # shards, pages
 #   perf/run_ledger.sh --full    # adds bench_table5 + bench_table6 (slow)
 #
 # After writing the entry, perf/ledger_trend.py diffs it against the
@@ -31,11 +32,8 @@ if [[ ! -d "$build_dir" ]]; then
 fi
 
 benches=(
-  "bench_serving --quick"
   "bench_nn_micro --quick --json"
   "bench_batch --quick --json"
-  "bench_router --quick --json"
-  "bench_cache --quick --json"
   "bench_net --quick --json"
   "bench_shard --quick --json"
   "bench_page --quick --json"

@@ -14,7 +14,7 @@ namespace rapid::rerank {
 /// scores, and — during training — simulated clicks) and outputs a
 /// permutation of the list. Heuristic methods ignore `Fit`.
 ///
-/// ## Thread-safety contract (relied on by `serve::ServingEngine`)
+/// ## Thread-safety contract (relied on by `serve::ServingRouter`)
 ///
 /// `Fit` (and `NeuralReranker::LoadModel`) require exclusive access. Once
 /// fitting/loading has completed, every const member — `Rerank`,

@@ -22,8 +22,8 @@ inline constexpr int kNumLanes = 2;
 
 /// What happens when the request queue runs hot.
 enum class AdmissionPolicy {
-  /// Producers block in `Submit` while the queue is full (backpressure) —
-  /// the single-engine default. Latency is unbounded under overload.
+  /// Producers block in `Submit` while the queue is full (backpressure).
+  /// Latency is unbounded under overload.
   kBlock,
   /// Requests arriving above a lane's depth watermark are rejected and
   /// answered immediately by the fallback heuristic (`shed` in the

@@ -15,7 +15,7 @@ namespace rapid::serve {
 // the binary codec and the fleet merge (see serve/stats_schema.h). The
 // snapshots are safe to copy around and render after their source is gone.
 
-/// Serving counters of one engine, one router slot, or a router aggregate.
+/// Serving counters of one router slot or a router aggregate.
 struct ServingStats {
   /// Realized-batch-size histogram: bin `i` counts model-bound batches of
   /// exactly `i + 1` requests; the last bin absorbs everything larger.
@@ -376,7 +376,7 @@ struct PageStats {
 };
 
 /// Process-wide scratch-arena telemetry (see nn/arena.h): one block per
-/// process, however many engines or slots it serves. The steady-state
+/// process, however many routers or slots it serves. The steady-state
 /// invariant the counters make observable: once every worker's first
 /// batch has warmed its arena, `arena_heap_allocs` and
 /// `arena_chunk_mallocs` stop moving while `arena_allocs` keeps growing.

@@ -1,6 +1,7 @@
 #ifndef RAPID_SERVE_REQUEST_QUEUE_H_
 #define RAPID_SERVE_REQUEST_QUEUE_H_
 
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -8,18 +9,19 @@
 #include <mutex>
 #include <vector>
 
+#include "serve/admission.h"
+
 namespace rapid::serve {
 
 /// A bounded multi-producer/multi-consumer queue with micro-batch pops and
-/// optional priority lanes.
+/// priority lanes.
 ///
-/// The queue holds `num_lanes` FIFO lanes sharing one capacity; lane 0 is
+/// The queue holds `kNumLanes` FIFO lanes sharing one capacity; lane 0 is
 /// the highest priority. `PopBatch` normally drains the highest-priority
 /// non-empty lane, but the drain is starvation-free: after
 /// `bursts_per_yield` consecutive pops that bypassed a waiting
 /// lower-priority item, one item from the next non-empty lower lane is
-/// served before priority resumes. With the default single lane the queue
-/// degenerates to the plain FIFO used by `ServingEngine`.
+/// served before priority resumes.
 ///
 /// Producers choose between three admission styles:
 ///  - `Push`       blocks while the queue is full (backpressure);
@@ -40,11 +42,9 @@ class BoundedRequestQueue {
   /// Outcome of a non-blocking or deadline-bounded push.
   enum class PushResult { kOk, kFull, kClosed };
 
-  explicit BoundedRequestQueue(size_t capacity, int num_lanes = 1,
-                               int bursts_per_yield = 4)
+  explicit BoundedRequestQueue(size_t capacity, int bursts_per_yield = 4)
       : capacity_(capacity > 0 ? capacity : 1),
-        bursts_per_yield_(bursts_per_yield > 0 ? bursts_per_yield : 1),
-        lanes_(num_lanes > 0 ? static_cast<size_t>(num_lanes) : 1) {}
+        bursts_per_yield_(bursts_per_yield > 0 ? bursts_per_yield : 1) {}
 
   BoundedRequestQueue(const BoundedRequestQueue&) = delete;
   BoundedRequestQueue& operator=(const BoundedRequestQueue&) = delete;
@@ -136,8 +136,6 @@ class BoundedRequestQueue {
     return lane < lanes_.size() ? lanes_[lane].size() : 0;
   }
 
-  size_t num_lanes() const { return lanes_.size(); }
-
  private:
   void Enqueue(T&& item, size_t lane) {
     lanes_[lane < lanes_.size() ? lane : lanes_.size() - 1].push_back(
@@ -172,7 +170,7 @@ class BoundedRequestQueue {
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
-  std::vector<std::deque<T>> lanes_;
+  std::array<std::deque<T>, kNumLanes> lanes_;
   size_t count_ = 0;
   int bypass_streak_ = 0;
   bool closed_ = false;

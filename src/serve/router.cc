@@ -2,12 +2,33 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 #include "serve/snapshot.h"
 
 namespace rapid::serve {
 
 namespace {
+
+/// `value` as a quoted JSON string. Slot names can arrive from the wire
+/// (a remote load, a shard rollout), so quotes, backslashes and control
+/// characters are escaped.
+std::string JsonString(const std::string& value) {
+  std::string out = "\"";
+  for (const char c : value) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  return out + '"';
+}
 
 RouterConfig Sanitized(RouterConfig cfg) {
   cfg.num_threads = std::max(cfg.num_threads, 1);
@@ -25,7 +46,7 @@ ServingRouter::ServingRouter(const data::Dataset& data, RouterConfig config)
       config_(Sanitized(config)),
       admission_(config_.admission, config_.queue_capacity),
       cache_(config_.cache),
-      queue_(static_cast<size_t>(config_.queue_capacity), kNumLanes,
+      queue_(static_cast<size_t>(config_.queue_capacity),
              admission_.config().high_bursts_per_low) {
   workers_.reserve(config_.num_threads);
   for (int i = 0; i < config_.num_threads; ++i) {
@@ -43,7 +64,7 @@ uint64_t ServingRouter::LoadSlot(const std::string& slot,
   std::unique_ptr<rerank::NeuralReranker> model = Snapshot::LoadAny(path, data_);
   if (model == nullptr) return 0;
   if (!CanaryPasses(slot, path, *model)) {
-    canary_rejected_.fetch_add(1, std::memory_order_relaxed);
+    rejections_.Add(&RouterStats::canary_rejected);
     return 0;
   }
   const uint64_t version = registry_.Publish(
@@ -293,7 +314,7 @@ void ServingRouter::Process(PendingRequest* request, bool shed) {
     response.degraded = true;
     response.shed = shed;
     if (!shed && !deadline_blown && served == nullptr) {
-      unknown_slot_.fetch_add(1, std::memory_order_relaxed);
+      rejections_.Add(&RouterStats::unknown_slot);
       // Remember the rejection so a replay of the same bad request is
       // answered inline at submit time. The fingerprint was computed on
       // the submit path (negative lookups precede everything else there).
@@ -366,7 +387,7 @@ std::future<RouterResponse> ServingRouter::Submit(RouterRequest request) {
   // and never reach a model or fallback heuristic. Datasets without users
   // or items (heuristic-only setups) have no id universe to check against.
   if (!ListInBounds(pending.request.list)) {
-    invalid_ids_.fetch_add(1, std::memory_order_relaxed);
+    rejections_.Add(&RouterStats::invalid_ids);
     RouterResponse response;
     response.items = pending.request.list.items;
     response.degraded = true;
@@ -434,7 +455,7 @@ std::future<RouterResponse> ServingRouter::Submit(RouterRequest request) {
   // Per-slot quota, independent of the global policy: one tenant's burst
   // is shed at its own budget even while the shared queue has room.
   if (!admission_.TryChargeSlot(pending.request.slot)) {
-    quota_shed_.fetch_add(1, std::memory_order_relaxed);
+    rejections_.Add(&RouterStats::quota_shed);
     Process(&pending, /*shed=*/true);
     return future;
   }
@@ -491,13 +512,9 @@ void ServingRouter::Shutdown() {
 }
 
 RouterStats ServingRouter::stats() const {
-  RouterStats out;
+  RouterStats out = rejections_.Snapshot();
   out.total = aggregate_metrics_.Snapshot();
   out.cache = cache_.TotalStats();
-  out.unknown_slot = unknown_slot_.load(std::memory_order_relaxed);
-  out.invalid_ids = invalid_ids_.load(std::memory_order_relaxed);
-  out.canary_rejected = canary_rejected_.load(std::memory_order_relaxed);
-  out.quota_shed = quota_shed_.load(std::memory_order_relaxed);
   out.process = ProcessStats::Capture();
   for (const std::string& name : registry_.Names()) {
     const auto served = registry_.Acquire(name);
@@ -534,8 +551,9 @@ std::string RouterStats::ToJson() const {
   out += ", " + stats::RenderJsonMembers(*this) + ", \"slots\": {";
   for (const SlotEntry& slot : slots) {
     if (&slot != &slots.front()) out += ", ";
-    out += "\"" + slot.slot + "\": {\"model\": \"" + slot.model_name +
-           "\", \"version\": " + std::to_string(slot.version) +
+    out += JsonString(slot.slot) + ": {\"model\": " +
+           JsonString(slot.model_name) +
+           ", \"version\": " + std::to_string(slot.version) +
            ", \"stats\": " + slot.stats.ToJson() +
            ", \"cache\": " + slot.cache.ToJson() + "}";
   }

@@ -19,7 +19,6 @@
 #include "rerank/neural_base.h"
 #include "rerank/reranker.h"
 #include "serve/admission.h"
-#include "serve/engine.h"
 #include "serve/metrics.h"
 #include "serve/model_registry.h"
 #include "serve/request_queue.h"
@@ -28,9 +27,13 @@
 
 namespace rapid::serve {
 
+/// Which cheap heuristic answers a request the model will not (deadline
+/// miss, shed, or unknown slot): the untouched initial ranking, or a greedy
+/// MMR pass that at least diversifies.
+enum class FallbackPolicy { kInitialOrder, kMmr };
+
 struct RouterConfig {
-  /// Size of the worker pool *shared by every slot* — the structural
-  /// difference from one `ServingEngine` (and pool) per model.
+  /// Size of the worker pool, shared by every slot.
   int num_threads = 4;
   /// Requests a worker pulls per micro-batch (may mix slots and lanes).
   int max_batch = 8;
@@ -172,7 +175,11 @@ struct RouterStats {
 ///
 /// The router borrows `data` (must outlive it) and owns its models via the
 /// registry. Published models must be fitted and uphold the `Reranker`
-/// const-inference thread-safety contract (see reranker.h).
+/// const-inference thread-safety contract (see reranker.h). With
+/// `deadline_us == 0` and the default `kBlock` admission, every response
+/// for a registered slot is identical to calling its model's `Rerank`
+/// directly, for any thread count and batching: scheduling changes only
+/// latency.
 class ServingRouter {
  public:
   explicit ServingRouter(const data::Dataset& data, RouterConfig config = {});
@@ -316,11 +323,9 @@ class ServingRouter {
   std::map<std::string, CanaryProbe> canaries_;
   mutable std::mutex wrapper_mu_;
   std::map<std::string, ModelWrapper> wrappers_;
-  std::atomic<uint64_t> canary_rejected_{0};
   ServingMetrics aggregate_metrics_;
-  std::atomic<uint64_t> unknown_slot_{0};
-  std::atomic<uint64_t> invalid_ids_{0};
-  std::atomic<uint64_t> quota_shed_{0};
+  /// The router's own rejection counters (`RouterStats::Fields`).
+  stats::LiveStats<RouterStats> rejections_;
   BoundedRequestQueue<PendingRequest> queue_;
   std::vector<std::thread> workers_;
   std::atomic<bool> shutdown_{false};

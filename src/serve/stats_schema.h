@@ -44,10 +44,10 @@ enum class Kind : uint8_t {
 
 /// Whose number it is.
 enum class Scope : uint8_t {
-  /// Owned by the instance that reports the block (one engine, one slot,
+  /// Owned by the instance that reports the block (one router, one slot,
   /// one server).
   kInstance,
-  /// Process-wide: one value per process however many engines it runs.
+  /// Process-wide: one value per process however many routers it runs.
   kProcess,
 };
 

@@ -85,7 +85,7 @@ std::string DescribeQueueSchedule(const QueueSchedule& schedule) {
 /// and duplications are all distinguishable.
 bool CheckQueueDrain(const QueueSchedule& schedule) {
   serve::BoundedRequestQueue<int> queue(schedule.ops.size() + 1,
-                                        /*num_lanes=*/2, schedule.bursts);
+                                        schedule.bursts);
   std::deque<int> expected[2];
   int next = 0;
   int bypass_streak = 0;

@@ -1,15 +1,13 @@
 // Tests of the batched inference contract (rerank/neural_base.h): for
 // every neural model family, `ScoreBatch` over randomized mixed-length
 // lists must reproduce `ScoreList` bitwise — before and after a snapshot
-// round trip — and `RerankBatch` must reproduce `Rerank`. Also covers the
-// serving engine's batched worker path (determinism + batch metrics) and
+// round trip — and `RerankBatch` must reproduce `Rerank`. Also covers
 // concurrent `ScoreBatch` on one shared model (run under
 // RAPID_SANITIZE=thread for the data-race proof).
 
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <future>
 #include <memory>
 #include <random>
 #include <thread>
@@ -20,7 +18,6 @@
 #include "datagen/simulator.h"
 #include "rerank/neural_models.h"
 #include "rerank/seq2slate.h"
-#include "serve/engine.h"
 #include "serve/snapshot.h"
 
 namespace rapid {
@@ -256,53 +253,6 @@ TEST_F(BatchScoreTest, ConcurrentScoreBatchOnSharedModelIsSafe) {
   for (int t = 0; t < 4; ++t) {
     EXPECT_TRUE(ok[t]) << "thread " << t << " saw diverging batched scores";
   }
-}
-
-TEST_F(BatchScoreTest, EngineBatchedPathIsDeterministicAndCounted) {
-  core::RapidConfig cfg;
-  cfg.train = SmallConfig();
-  cfg.hidden_dim = 8;
-  core::RapidReranker model(cfg);
-  model.Fit(data_, train_, 6);
-
-  serve::ServingConfig serving;
-  serving.num_threads = 2;
-  serving.max_batch = 4;
-  serving.max_wait_us = 100;
-  serving.deadline_us = 0;  // Deterministic: every request runs the model.
-  serve::ServingEngine engine(data_, model, serving);
-
-  std::vector<std::future<serve::RerankResponse>> futures;
-  for (int rep = 0; rep < 5; ++rep) {
-    for (const data::ImpressionList& list : mixed_) {
-      futures.push_back(engine.Submit(list));
-    }
-  }
-  size_t i = 0;
-  for (auto& f : futures) {
-    const serve::RerankResponse response = f.get();
-    EXPECT_FALSE(response.degraded);
-    EXPECT_EQ(response.items, model.Rerank(data_, mixed_[i % mixed_.size()]))
-        << "batched serving diverged from the direct call";
-    ++i;
-  }
-  engine.Shutdown();
-
-  const serve::ServingStats stats = engine.stats();
-  EXPECT_EQ(stats.requests, futures.size());
-  // Every model-bound request flowed through the batched path, so the
-  // histogram and counters must reconcile exactly.
-  EXPECT_GE(stats.batches, 1u);
-  EXPECT_EQ(stats.batched_lists, futures.size());
-  EXPECT_GE(stats.max_batch_size, 1);
-  EXPECT_LE(stats.max_batch_size, serving.max_batch);
-  uint64_t hist_batches = 0, hist_lists = 0;
-  for (int bin = 0; bin < serve::ServingStats::kBatchHistBins; ++bin) {
-    hist_batches += stats.batch_size_hist[bin];
-    hist_lists += stats.batch_size_hist[bin] * static_cast<uint64_t>(bin + 1);
-  }
-  EXPECT_EQ(hist_batches, stats.batches);
-  EXPECT_EQ(hist_lists, stats.batched_lists);
 }
 
 }  // namespace

@@ -412,6 +412,7 @@ TEST(ServingRouterTest, BlockModeDeadlineCapsProducerWait) {
   // request (~150ms total); with it, each Submit waits at most ~10ms.
   EXPECT_LT(submit_ms, 100.0);
   EXPECT_GT(degraded, 0);
+  EXPECT_EQ(router.stats().total.fallbacks, static_cast<uint64_t>(degraded));
 }
 
 TEST(ServingRouterTest, SubmitAfterShutdownServesInline) {
@@ -425,6 +426,20 @@ TEST(ServingRouterTest, SubmitAfterShutdownServesInline) {
   const serve::RouterResponse r = future.get();
   EXPECT_EQ(r.items, Rotated(TenItemList().items, 3));
   EXPECT_EQ(r.model_version, 1u);
+}
+
+// Slot names can arrive from the wire (a remote load or a shard rollout),
+// so the JSON scrape must escape them rather than splice them in raw.
+TEST(ServingRouterTest, StatsJsonEscapesSlotNames) {
+  const data::Dataset data;
+  serve::ServingRouter router(data, {});
+  router.InstallSlot(std::string(R"(a"b\c)") + '\x01',
+                     std::make_shared<RotateReranker>(1));
+  const std::string json = router.stats().ToJson();
+  EXPECT_NE(json.find(R"("slots": {"a\"b\\c\u0001": {"model": "rotate-1")"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find('\x01'), std::string::npos);
 }
 
 // End-to-end through the snapshot path with real models: two differently
@@ -451,17 +466,21 @@ class RouterSnapshotTest : public ::testing::Test {
     }
   }
 
-  std::string TrainAndSnapshot(int hidden, uint64_t seed,
-                               const std::string& file) {
+  std::shared_ptr<core::RapidReranker> Fit(int hidden, uint64_t seed) {
     core::RapidConfig cfg;
     cfg.train.epochs = 1;
     cfg.hidden_dim = hidden;
-    core::RapidReranker model(cfg);
-    model.Fit(data_, train_, seed);
+    auto model = std::make_shared<core::RapidReranker>(cfg);
+    model->Fit(data_, train_, seed);
+    return model;
+  }
+
+  std::string TrainAndSnapshot(int hidden, uint64_t seed,
+                               const std::string& file) {
     // One file per process: ctest runs the fixture's tests in parallel.
     const std::string path = ::testing::TempDir() + "/" +
                              std::to_string(::getpid()) + "_" + file;
-    EXPECT_TRUE(serve::Snapshot::Save(path, model, data_));
+    EXPECT_TRUE(serve::Snapshot::Save(path, *Fit(hidden, seed), data_));
     return path;
   }
 
@@ -657,6 +676,161 @@ TEST_F(RouterSnapshotTest, CacheStaysSwapConsistentUnderHotUserLoad) {
             static_cast<uint64_t>(kSubmitters * kPerSubmitter));
   EXPECT_EQ(stats.cache.hits, hit_responses.load());
   EXPECT_GT(stats.cache.hits, 0u);  // The hot user actually hit the cache.
+}
+
+// A one-slot router in front of a real RAPID fit: the serving contract
+// that callers without A/B slots rely on.
+class OneSlotRouterTest : public RouterSnapshotTest {};
+
+TEST_F(OneSlotRouterTest, MatchesDirectRerankAcrossThreadCounts) {
+  const auto model = Fit(8, 6);
+  std::vector<std::vector<int>> reference;
+  for (const auto& list : train_) {
+    reference.push_back(model->Rerank(data_, list));
+  }
+
+  for (int threads : {1, 4}) {
+    serve::RouterConfig cfg;
+    cfg.num_threads = threads;
+    cfg.max_batch = 3;
+    cfg.max_wait_us = 50;
+    serve::ServingRouter router(data_, cfg);
+    ASSERT_EQ(router.InstallSlot("main", model), 1u);
+    std::vector<std::future<serve::RouterResponse>> futures;
+    for (const auto& list : train_) {
+      futures.push_back(router.Submit({"main", serve::Lane::kHigh, list}));
+    }
+    for (size_t i = 0; i < futures.size(); ++i) {
+      const serve::RouterResponse response = futures[i].get();
+      EXPECT_FALSE(response.degraded);
+      EXPECT_EQ(response.items, reference[i]);
+      EXPECT_EQ(response.model_version, 1u);
+      EXPECT_GE(response.latency_us, 0);
+    }
+    const serve::RouterStats stats = router.stats();
+    EXPECT_EQ(stats.total.requests, train_.size());
+    EXPECT_EQ(stats.total.fallbacks, 0u);
+  }
+}
+
+TEST_F(OneSlotRouterTest, ConcurrentSubmittersMatchDirectRerank) {
+  const auto model = Fit(8, 6);
+  std::vector<std::vector<int>> reference;
+  for (const auto& list : train_) {
+    reference.push_back(model->Rerank(data_, list));
+  }
+
+  serve::RouterConfig cfg;
+  cfg.num_threads = 4;
+  cfg.max_batch = 4;
+  cfg.max_wait_us = 100;
+  cfg.queue_capacity = 8;  // Small: exercises producer backpressure.
+  serve::ServingRouter router(data_, cfg);
+  router.InstallSlot("main", model);
+
+  constexpr int kSubmitters = 4;
+  constexpr int kRoundsPerSubmitter = 5;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> submitters;
+  for (int s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&, s] {
+      for (int round = 0; round < kRoundsPerSubmitter; ++round) {
+        const size_t idx = (s + round * kSubmitters) % train_.size();
+        auto future = router.Submit({"main", serve::Lane::kHigh, train_[idx]});
+        if (future.get().items != reference[idx]) ++mismatches;
+      }
+    });
+  }
+  for (auto& t : submitters) t.join();
+  router.Shutdown();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  const serve::ServingStats stats = router.stats().total;
+  EXPECT_EQ(stats.requests,
+            static_cast<uint64_t>(kSubmitters * kRoundsPerSubmitter));
+  EXPECT_GE(stats.max_queue_depth, 1);
+  EXPECT_GT(stats.p50_us, 0.0);
+  EXPECT_LE(stats.p50_us, stats.p99_us);
+}
+
+TEST_F(OneSlotRouterTest, ExpiredDeadlineFallsBackToInitialOrder) {
+  serve::RouterConfig cfg;
+  cfg.num_threads = 1;
+  cfg.max_batch = 1;
+  cfg.max_wait_us = 0;
+  cfg.deadline_us = 1;  // Unmeetable: queue wait alone exceeds it.
+  cfg.fallback = serve::FallbackPolicy::kInitialOrder;
+  serve::ServingRouter router(data_, cfg);
+  router.InstallSlot("main", Fit(8, 6));
+
+  std::vector<std::future<serve::RouterResponse>> futures;
+  for (const auto& list : train_) {
+    futures.push_back(router.Submit({"main", serve::Lane::kHigh, list}));
+  }
+  uint64_t degraded = 0;
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const serve::RouterResponse response = futures[i].get();
+    if (response.degraded) {
+      ++degraded;
+      EXPECT_EQ(response.items, train_[i].items);
+    }
+  }
+  EXPECT_GT(degraded, 0u);
+  EXPECT_EQ(router.stats().total.fallbacks, degraded);
+}
+
+TEST_F(OneSlotRouterTest, BatchSizeHistogramReconcilesOnTotalAndSlot) {
+  const auto model = Fit(8, 6);
+  // Prefixes of varying length, so the batched forward groups several
+  // length classes.
+  std::vector<data::ImpressionList> lists;
+  for (size_t i = 0; i < train_.size(); ++i) {
+    data::ImpressionList list = train_[i];
+    const size_t keep = 1 + i % list.items.size();
+    list.items.resize(keep);
+    list.scores.resize(keep);
+    list.clicks.clear();
+    lists.push_back(std::move(list));
+  }
+
+  serve::RouterConfig cfg;
+  cfg.num_threads = 2;
+  cfg.max_batch = 4;
+  cfg.max_wait_us = 100;
+  serve::ServingRouter router(data_, cfg);
+  router.InstallSlot("main", model);
+  std::vector<std::future<serve::RouterResponse>> futures;
+  for (int rep = 0; rep < 5; ++rep) {
+    for (const data::ImpressionList& list : lists) {
+      futures.push_back(router.Submit({"main", serve::Lane::kHigh, list}));
+    }
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const serve::RouterResponse response = futures[i].get();
+    EXPECT_FALSE(response.degraded);
+    EXPECT_EQ(response.items, model->Rerank(data_, lists[i % lists.size()]))
+        << "batched serving diverged from the direct call";
+  }
+  router.Shutdown();
+
+  const serve::RouterStats stats = router.stats();
+  ASSERT_EQ(stats.slots.size(), 1u);
+  for (const serve::ServingStats& s : {stats.total, stats.slots[0].stats}) {
+    EXPECT_EQ(s.requests, futures.size());
+    // Every request ran through the batched path, so the histogram and
+    // the counters must reconcile exactly.
+    EXPECT_GE(s.batches, 1u);
+    EXPECT_EQ(s.batched_lists, futures.size());
+    EXPECT_GE(s.max_batch_size, 1);
+    EXPECT_LE(s.max_batch_size, cfg.max_batch);
+    uint64_t hist_batches = 0, hist_lists = 0;
+    for (int bin = 0; bin < serve::ServingStats::kBatchHistBins; ++bin) {
+      hist_batches += s.batch_size_hist[bin];
+      hist_lists += s.batch_size_hist[bin] * static_cast<uint64_t>(bin + 1);
+    }
+    EXPECT_EQ(hist_batches, s.batches);
+    EXPECT_EQ(hist_lists, s.batched_lists);
+  }
 }
 
 }  // namespace

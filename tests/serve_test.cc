@@ -14,9 +14,9 @@
 #include "core/rapid.h"
 #include "datagen/simulator.h"
 #include "rerank/neural_models.h"
-#include "serve/engine.h"
 #include "serve/metrics.h"
 #include "serve/request_queue.h"
+#include "serve/router.h"
 #include "serve/snapshot.h"
 
 namespace rapid {
@@ -123,110 +123,22 @@ TEST_F(ServeTest, SnapshotRejectsMismatchedDatasetAndGarbage) {
   EXPECT_FALSE(serve::Snapshot::ReadConfig(garbage, &ignored));
 }
 
-TEST_F(ServeTest, EngineMatchesDirectRerankAcrossThreadCounts) {
-  const core::RapidReranker model = FittedModel();
-  std::vector<std::vector<int>> reference;
-  reference.reserve(train_.size());
-  for (const auto& list : train_) {
-    reference.push_back(model.Rerank(data_, list));
-  }
-
-  for (int threads : {1, 4}) {
-    serve::ServingConfig cfg;
-    cfg.num_threads = threads;
-    cfg.max_batch = 3;
-    cfg.max_wait_us = 50;
-    serve::ServingEngine engine(data_, model, cfg);
-    std::vector<std::future<serve::RerankResponse>> futures;
-    for (const auto& list : train_) futures.push_back(engine.Submit(list));
-    for (size_t i = 0; i < futures.size(); ++i) {
-      serve::RerankResponse response = futures[i].get();
-      EXPECT_FALSE(response.degraded);
-      EXPECT_EQ(response.items, reference[i]);
-      EXPECT_GE(response.latency_us, 0);
-    }
-    const serve::ServingStats stats = engine.stats();
-    EXPECT_EQ(stats.requests, train_.size());
-    EXPECT_EQ(stats.fallbacks, 0u);
-  }
-}
-
-TEST_F(ServeTest, ConcurrentSubmittersGetConsistentResults) {
-  const core::RapidReranker model = FittedModel();
-  std::vector<std::vector<int>> reference;
-  for (const auto& list : train_) {
-    reference.push_back(model.Rerank(data_, list));
-  }
-
-  serve::ServingConfig cfg;
-  cfg.num_threads = 4;
-  cfg.max_batch = 4;
-  cfg.max_wait_us = 100;
-  cfg.queue_capacity = 8;  // Small: exercises producer backpressure.
-  serve::ServingEngine engine(data_, model, cfg);
-
-  constexpr int kSubmitters = 4;
-  constexpr int kRoundsPerSubmitter = 5;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> submitters;
-  for (int s = 0; s < kSubmitters; ++s) {
-    submitters.emplace_back([&, s] {
-      for (int round = 0; round < kRoundsPerSubmitter; ++round) {
-        const size_t idx = (s + round * kSubmitters) % train_.size();
-        auto future = engine.Submit(train_[idx]);
-        if (future.get().items != reference[idx]) ++mismatches;
-      }
-    });
-  }
-  for (auto& t : submitters) t.join();
-  engine.Shutdown();
-
-  EXPECT_EQ(mismatches.load(), 0);
-  const serve::ServingStats stats = engine.stats();
-  EXPECT_EQ(stats.requests,
-            static_cast<uint64_t>(kSubmitters * kRoundsPerSubmitter));
-  EXPECT_GE(stats.max_queue_depth, 1);
-  EXPECT_GT(stats.p50_us, 0.0);
-  EXPECT_LE(stats.p50_us, stats.p99_us);
-}
-
-TEST_F(ServeTest, ExpiredDeadlineFallsBackToHeuristic) {
-  const core::RapidReranker model = FittedModel();
-  serve::ServingConfig cfg;
-  cfg.num_threads = 1;
-  cfg.max_batch = 1;
-  cfg.max_wait_us = 0;
-  cfg.deadline_us = 1;  // Unmeetable: queue wait alone exceeds it.
-  cfg.fallback = serve::FallbackPolicy::kInitialOrder;
-  serve::ServingEngine engine(data_, model, cfg);
-
-  std::vector<std::future<serve::RerankResponse>> futures;
-  for (const auto& list : train_) futures.push_back(engine.Submit(list));
-  uint64_t degraded = 0;
-  for (size_t i = 0; i < futures.size(); ++i) {
-    serve::RerankResponse response = futures[i].get();
-    if (response.degraded) {
-      ++degraded;
-      // kInitialOrder serves the initial ranking unchanged.
-      EXPECT_EQ(response.items, train_[i].items);
-    }
-  }
-  EXPECT_GT(degraded, 0u);
-  EXPECT_EQ(engine.stats().fallbacks, degraded);
-}
-
 TEST_F(ServeTest, SubmitAfterShutdownServesInline) {
-  const core::RapidReranker model = FittedModel();
-  serve::ServingEngine engine(data_, model, {});
-  engine.Shutdown();
-  auto future = engine.Submit(train_[0]);
+  const auto model = std::make_shared<core::RapidReranker>(FittedModel());
+  serve::ServingRouter router(data_, {});
+  router.InstallSlot("main", model);
+  router.Shutdown();
+  auto future = router.Submit({"main", serve::Lane::kHigh, train_[0]});
   ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
-  EXPECT_EQ(future.get().items, model.Rerank(data_, train_[0]));
+  const serve::RouterResponse response = future.get();
+  EXPECT_FALSE(response.degraded);
+  EXPECT_EQ(response.items, model->Rerank(data_, train_[0]));
 }
 
-// A re-ranker with a fixed per-request cost, used to hold the engine's
-// queue full long enough to exercise TrySubmit / bounded-blocking paths.
+// A re-ranker with a fixed per-request cost, used to hold a one-slot
+// router's queue full long enough to exercise the shed and the
+// deadline-capped blocking submit paths.
 class StallInitReranker : public rerank::Reranker {
  public:
   explicit StallInitReranker(int stall_us) : stall_us_(stall_us) {}
@@ -241,66 +153,96 @@ class StallInitReranker : public rerank::Reranker {
   const int stall_us_;
 };
 
+// Under kShed with both watermarks at the queue capacity, a full queue
+// rejects the submit at once: the future is already resolved by the
+// fallback, and the producer never waits on the model.
 TEST_F(ServeTest, TrySubmitRejectsWhenFullWithoutBlocking) {
-  const StallInitReranker slow(20'000);
-  serve::ServingConfig cfg;
+  constexpr int kStallUs = 50'000;
+  serve::RouterConfig cfg;
   cfg.num_threads = 1;
   cfg.max_batch = 1;
   cfg.max_wait_us = 0;
   cfg.queue_capacity = 1;
-  serve::ServingEngine engine(data_, slow, cfg);
+  cfg.admission.policy = serve::AdmissionPolicy::kShed;
+  serve::ServingRouter router(data_, cfg);
+  router.InstallSlot("main", std::make_shared<StallInitReranker>(kStallUs));
 
-  // Saturate: one request occupies the worker, then fill the queue slot.
-  std::vector<std::future<serve::RerankResponse>> accepted;
-  accepted.push_back(engine.Submit(train_[0]));
-  bool saw_rejection = false;
-  for (int i = 0; i < 64 && !saw_rejection; ++i) {
-    auto maybe = engine.TrySubmit(train_[0]);
-    if (maybe.has_value()) {
-      accepted.push_back(std::move(*maybe));
-    } else {
-      saw_rejection = true;  // Full queue reported immediately, no block.
+  // Saturate: one request occupies the worker, the next fills the queue.
+  std::vector<std::future<serve::RouterResponse>> accepted;
+  uint64_t rejected = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < 64 && rejected == 0; ++i) {
+    auto future = router.Submit({"main", serve::Lane::kHigh, train_[0]});
+    if (future.wait_for(std::chrono::seconds(0)) !=
+        std::future_status::ready) {
+      accepted.push_back(std::move(future));
+      continue;
     }
+    const serve::RouterResponse response = future.get();
+    EXPECT_TRUE(response.shed);
+    EXPECT_TRUE(response.degraded);
+    EXPECT_EQ(response.items, train_[0].items);
+    ++rejected;
   }
-  EXPECT_TRUE(saw_rejection);
-  for (auto& f : accepted) EXPECT_EQ(f.get().items, train_[0].items);
-  engine.Shutdown();
+  const double submit_ms =
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_EQ(rejected, 1u);
+  // A blocking submit would wait for the worker to finish a model pass.
+  EXPECT_LT(submit_ms, kStallUs / 1000.0);
+  for (auto& f : accepted) {
+    const serve::RouterResponse response = f.get();
+    EXPECT_FALSE(response.shed);
+    EXPECT_EQ(response.items, train_[0].items);
+  }
+  router.Shutdown();
+  EXPECT_EQ(router.stats().total.shed, rejected);
 
-  // After shutdown TrySubmit serves inline like Submit.
-  auto inline_future = engine.TrySubmit(train_[1]);
-  ASSERT_TRUE(inline_future.has_value());
-  ASSERT_EQ(inline_future->wait_for(std::chrono::seconds(0)),
+  // After shutdown the submit serves inline instead of rejecting.
+  auto inline_future = router.Submit({"main", serve::Lane::kHigh, train_[1]});
+  ASSERT_EQ(inline_future.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
-  EXPECT_EQ(inline_future->get().items, train_[1].items);
+  const serve::RouterResponse inline_response = inline_future.get();
+  EXPECT_FALSE(inline_response.shed);
+  EXPECT_EQ(inline_response.items, train_[1].items);
 }
 
 TEST_F(ServeTest, SubmitBlocksAtMostTheRequestDeadline) {
-  const StallInitReranker slow(30'000);
-  serve::ServingConfig cfg;
+  serve::RouterConfig cfg;
   cfg.num_threads = 1;
   cfg.max_batch = 1;
   cfg.max_wait_us = 0;
   cfg.queue_capacity = 1;
   cfg.deadline_us = 10'000;
   cfg.fallback = serve::FallbackPolicy::kInitialOrder;
-  serve::ServingEngine engine(data_, slow, cfg);
+  serve::ServingRouter router(data_, cfg);
+  router.InstallSlot("main", std::make_shared<StallInitReranker>(30'000));
 
-  std::vector<std::future<serve::RerankResponse>> futures;
+  std::vector<std::future<serve::RouterResponse>> futures;
   const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < 5; ++i) futures.push_back(engine.Submit(train_[0]));
+  for (int i = 0; i < 5; ++i) {
+    futures.push_back(router.Submit({"main", serve::Lane::kHigh, train_[0]}));
+  }
   const double submit_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)
           .count();
   uint64_t degraded = 0;
-  for (auto& f : futures) degraded += f.get().degraded ? 1 : 0;
-  engine.Shutdown();
+  for (auto& f : futures) {
+    const serve::RouterResponse response = f.get();
+    if (response.degraded) {
+      ++degraded;
+      EXPECT_EQ(response.items, train_[0].items);
+    }
+  }
+  router.Shutdown();
 
-  // Pre-fix, each blocked Submit waited a full 30ms model pass (~90ms for
-  // the burst); now every Submit returns within its own 10ms deadline.
+  // Uncapped, each blocked Submit would wait a full 30ms model pass (~90ms
+  // for the burst); capped, every Submit returns within its 10ms deadline.
   EXPECT_LT(submit_ms, 100.0);
   EXPECT_GT(degraded, 0u);
-  EXPECT_EQ(engine.stats().fallbacks, degraded);
+  EXPECT_EQ(router.stats().total.fallbacks, degraded);
 }
 
 TEST(RequestQueueTest, PopBatchCollectsUpToMaxAndDrainsOnClose) {
@@ -372,8 +314,7 @@ TEST(RequestQueueTest, CloseReleasesBlockedProducersWithItemsIntact) {
 
 TEST(RequestQueueTest, PriorityDrainIsStarvationFree) {
   // Two lanes, yield to the starved lane after 2 consecutive bypasses.
-  serve::BoundedRequestQueue<int> queue(32, /*num_lanes=*/2,
-                                        /*bursts_per_yield=*/2);
+  serve::BoundedRequestQueue<int> queue(32, /*bursts_per_yield=*/2);
   for (int i = 1; i <= 6; ++i) ASSERT_TRUE(queue.Push(100 + i, /*lane=*/0));
   for (int i = 1; i <= 3; ++i) ASSERT_TRUE(queue.Push(200 + i, /*lane=*/1));
   EXPECT_EQ(queue.lane_size(0), 6u);
