@@ -367,7 +367,9 @@ void Server::ServePage(WirePageRequest page, std::vector<uint8_t>* frame_out) {
   std::vector<std::vector<int>> routed(num_lists);
   for (size_t l = 0; l < num_lists; ++l) {
     serve::RouterResponse reply = futures[l].get();
-    if (l == 0) {
+    // Attribution is the first served list's stamp; degraded lists carry
+    // version 0, and published versions start at 1.
+    if (!reply.degraded && response.model_version == 0) {
       response.model_name = std::move(reply.model_name);
       response.model_version = reply.model_version;
     }

@@ -7,7 +7,6 @@ namespace rapid::serve {
 AdmissionController::AdmissionController(const AdmissionConfig& config,
                                          int queue_capacity)
     : config_(config) {
-  config_.high_bursts_per_low = std::max(config_.high_bursts_per_low, 1);
   const size_t capacity = static_cast<size_t>(std::max(queue_capacity, 1));
   auto resolve = [capacity](int mark) {
     return mark <= 0 ? capacity

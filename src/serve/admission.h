@@ -26,8 +26,8 @@ enum class AdmissionPolicy {
   /// Latency is unbounded under overload.
   kBlock,
   /// Requests arriving above a lane's depth watermark are rejected and
-  /// answered immediately by the fallback heuristic (`shed` in the
-  /// response and per-slot metrics). `Submit` never blocks; tail latency
+  /// answered immediately, degraded (`shed` in the response and per-slot
+  /// metrics). `Submit` never blocks; tail latency
   /// stays bounded by queue depth at the watermark.
   kShed,
 };
@@ -41,13 +41,10 @@ struct AdmissionConfig {
   /// Depth at/above which even high-lane requests are shed. 0 = capacity.
   /// Must be >= the low watermark to mean anything; the controller clamps.
   int high_lane_watermark = 0;
-  /// Starvation-free drain: after this many consecutive high-lane pops
-  /// while low-lane work waited, one low-lane request is served.
-  int high_bursts_per_low = 4;
   /// Optional per-slot queue-depth quotas: at most this many requests of a
   /// slot may sit in the queue at once; a request arriving above its
-  /// slot's quota is shed (answered by the fallback) regardless of the
-  /// global policy, so one tenant's burst cannot fill the shared queue and
+  /// slot's quota is shed (answered degraded) regardless of the global
+  /// policy, so one tenant's burst cannot fill the shared queue and
   /// starve every other slot. Slots without an entry are unlimited.
   /// Quota sheds are counted in `RouterStats::quota_shed`. Non-positive
   /// quotas are clamped to 1.
@@ -69,8 +66,8 @@ class AdmissionController {
   AdmissionController(const AdmissionConfig& config, int queue_capacity);
 
   /// True if a request on `lane` arriving while the queue holds `depth`
-  /// items should be admitted; false means shed it (answer with the
-  /// fallback immediately). Always true under `kBlock` — blocking
+  /// items should be admitted; false means shed it (answer it degraded,
+  /// immediately). Always true under `kBlock` — blocking
   /// backpressure is applied by the queue itself, not here.
   bool Admit(Lane lane, size_t depth) const;
 

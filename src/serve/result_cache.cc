@@ -8,6 +8,8 @@ namespace {
 
 constexpr uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
+/// Cells per shard of the `admit_on_second_hit` first-sighting sketch.
+constexpr size_t kSketchCells = 1024;
 
 uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -24,8 +26,6 @@ CachePolicy Sanitized(CachePolicy policy) {
                                       static_cast<int>(policy.capacity));
   policy.ttl_us = std::max<int64_t>(policy.ttl_us, 0);
   policy.negative_ttl_us = std::max<int64_t>(policy.negative_ttl_us, 0);
-  policy.admission_sketch_slots =
-      std::max<size_t>(policy.admission_sketch_slots, 1);
   return policy;
 }
 
@@ -39,21 +39,9 @@ ResultCache::ResultCache(CachePolicy policy)
   for (int i = 0; i < policy_.num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
     if (policy_.enabled && policy_.admit_on_second_hit) {
-      shards_.back()->seen.assign(policy_.admission_sketch_slots, 0);
+      shards_.back()->seen.assign(kSketchCells, 0);
     }
   }
-  if (policy_.enabled) {
-    sweeper_ = std::thread([this] { SweeperLoop(); });
-  }
-}
-
-ResultCache::~ResultCache() {
-  {
-    std::lock_guard<std::mutex> lock(sweep_mu_);
-    stop_ = true;
-  }
-  sweep_cv_.notify_all();
-  if (sweeper_.joinable()) sweeper_.join();
 }
 
 uint64_t ResultCache::Fingerprint(const data::ImpressionList& list) {
@@ -93,36 +81,26 @@ void ResultCache::RecordBypass(const std::string& slot) {
   Count(CountersFor(slot), &CacheStats::bypass);
 }
 
-std::optional<ResultCache::CachedResult> ResultCache::Lookup(
-    const std::string& slot, uint64_t version, uint64_t fingerprint) {
-  Key key{slot, version, fingerprint};
+std::optional<ResultCache::CachedResult> ResultCache::Probe(const Key& key) {
   Shard& shard = ShardFor(key);
-  Counters& counters = CountersFor(slot);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    Count(counters, &CacheStats::misses);
-    return std::nullopt;
-  }
+  const auto it = shard.index.find(key);
+  if (it == shard.index.end()) return std::nullopt;
   if (ExpiredAt(*it->second, Clock::now())) {
+    Count(CountersFor(key.slot), &CacheStats::expired);
     shard.lru.erase(it->second);
     shard.index.erase(it);
-    Count(counters, &CacheStats::expired);
-    Count(counters, &CacheStats::misses);
     return std::nullopt;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  Count(counters, &CacheStats::hits);
   return it->second->result;
 }
 
-void ResultCache::Insert(const std::string& slot, uint64_t version,
-                         uint64_t fingerprint, CachedResult result) {
-  Key key{slot, version, fingerprint};
+void ResultCache::Store(Key key, CachedResult result) {
   Shard& shard = ShardFor(key);
-  Counters& counters = CountersFor(slot);
+  Counters& counters = CountersFor(key.slot);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
+  const auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     // Concurrent misses on the same key both run the model; last writer
     // refreshes (both computed the same deterministic answer anyway).
@@ -131,7 +109,8 @@ void ResultCache::Insert(const std::string& slot, uint64_t version,
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  if (!shard.seen.empty()) {
+  const bool negative = key.version == 0;
+  if (!negative && !shard.seen.empty()) {
     // Second-hit admission: the first miss of a key only records its full
     // hash in the sketch (|1 so an empty cell never matches); the repeat
     // miss finds it and admits. A hot-swap resets nothing here — the
@@ -147,119 +126,60 @@ void ResultCache::Insert(const std::string& slot, uint64_t version,
   }
   shard.lru.push_front(Entry{std::move(key), std::move(result), Clock::now()});
   shard.index.emplace(shard.lru.front().key, shard.lru.begin());
-  Count(counters, &CacheStats::inserts);
+  Count(counters,
+        negative ? &CacheStats::negative_inserts : &CacheStats::inserts);
   while (shard.lru.size() > per_shard_capacity_) {
     const Entry& victim = shard.lru.back();
     Count(CountersFor(victim.key.slot), &CacheStats::evictions);
     shard.index.erase(victim.key);
     shard.lru.pop_back();
   }
+}
+
+std::optional<ResultCache::CachedResult> ResultCache::Lookup(
+    const std::string& slot, uint64_t version, uint64_t fingerprint) {
+  std::optional<CachedResult> hit = Probe({slot, version, fingerprint});
+  Count(CountersFor(slot), hit ? &CacheStats::hits : &CacheStats::misses);
+  return hit;
+}
+
+void ResultCache::Insert(const std::string& slot, uint64_t version,
+                         uint64_t fingerprint, CachedResult result) {
+  Store({slot, version, fingerprint}, std::move(result));
 }
 
 std::optional<std::vector<int>> ResultCache::LookupNegative(
     const std::string& slot, uint64_t fingerprint) {
   if (!NegativeEnabled()) return std::nullopt;
-  Key key{slot, 0, fingerprint};
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) return std::nullopt;
-  if (ExpiredAt(*it->second, Clock::now())) {
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-    Counters& counters = CountersFor(slot);
-    Count(counters, &CacheStats::expired);
-    return std::nullopt;
-  }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  Counters& counters = CountersFor(slot);
-  Count(counters, &CacheStats::negative_hits);
-  return it->second->result.items;
+  std::optional<CachedResult> hit = Probe({slot, 0, fingerprint});
+  if (!hit) return std::nullopt;
+  Count(CountersFor(slot), &CacheStats::negative_hits);
+  return std::move(hit->items);
 }
 
 void ResultCache::InsertNegative(const std::string& slot, uint64_t fingerprint,
                                  std::vector<int> items) {
+  // No second-hit sketch here (`Store` skips it for version 0): the goal
+  // is absorbing the second arrival of the same bad request, so the first
+  // rejection must already store.
   if (!NegativeEnabled()) return;
-  Key key{slot, 0, fingerprint};
-  Shard& shard = ShardFor(key);
-  Counters& counters = CountersFor(slot);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    it->second->result.items = std::move(items);
-    it->second->inserted_at = Clock::now();
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
-  }
-  // No second-hit sketch here: the goal is absorbing the second arrival of
-  // the same bad request, so the first rejection must already store.
-  shard.lru.push_front(Entry{std::move(key),
-                             CachedResult{std::move(items), "", 0},
-                             Clock::now()});
-  shard.index.emplace(shard.lru.front().key, shard.lru.begin());
-  Count(counters, &CacheStats::negative_inserts);
-  while (shard.lru.size() > per_shard_capacity_) {
-    const Entry& victim = shard.lru.back();
-    Count(CountersFor(victim.key.slot), &CacheStats::evictions);
-    shard.index.erase(victim.key);
-    shard.lru.pop_back();
-  }
+  Store({slot, 0, fingerprint}, {std::move(items), "", 0});
 }
 
-void ResultCache::ScheduleSweep(std::string slot, uint64_t live_version) {
+void ResultCache::Sweep(const std::string& slot, uint64_t live_version) {
   if (!policy_.enabled) return;
-  {
-    std::lock_guard<std::mutex> lock(sweep_mu_);
-    if (stop_) return;
-    pending_sweeps_.push_back({std::move(slot), live_version, Clock::now()});
-  }
-  sweep_cv_.notify_one();
-}
-
-void ResultCache::DrainSweeps() {
-  std::unique_lock<std::mutex> lock(sweep_mu_);
-  sweep_idle_cv_.wait(
-      lock, [this] { return pending_sweeps_.empty() && !sweep_active_; });
-}
-
-void ResultCache::SweeperLoop() {
-  std::unique_lock<std::mutex> lock(sweep_mu_);
-  for (;;) {
-    sweep_cv_.wait(lock, [this] { return stop_ || !pending_sweeps_.empty(); });
-    if (pending_sweeps_.empty()) {
-      if (stop_) return;
-      continue;
-    }
-    const Sweep sweep = std::move(pending_sweeps_.front());
-    pending_sweeps_.pop_front();
-    sweep_active_ = true;
-    lock.unlock();
-    SweepSlot(sweep);
-    lock.lock();
-    sweep_active_ = false;
-    if (pending_sweeps_.empty()) sweep_idle_cv_.notify_all();
-  }
-}
-
-void ResultCache::SweepSlot(const Sweep& sweep) {
   const Clock::time_point now = Clock::now();
   for (std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     for (auto it = shard->lru.begin(); it != shard->lru.end();) {
       const bool dead_version =
-          it->key.slot == sweep.slot && it->key.version != sweep.live_version &&
-          (it->key.version != 0 || it->inserted_at < sweep.scheduled_at);
-      const bool aged_out = ExpiredAt(*it, now);
-      if (!dead_version && !aged_out) {
+          it->key.slot == slot && it->key.version != live_version;
+      if (!dead_version && !ExpiredAt(*it, now)) {
         ++it;
         continue;
       }
-      Counters& counters = CountersFor(it->key.slot);
-      if (dead_version) {
-        Count(counters, &CacheStats::swept);
-      } else {
-        Count(counters, &CacheStats::expired);
-      }
+      Count(CountersFor(it->key.slot),
+            dead_version ? &CacheStats::swept : &CacheStats::expired);
       shard->index.erase(it->key);
       it = shard->lru.erase(it);
     }

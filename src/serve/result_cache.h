@@ -1,18 +1,14 @@
 #ifndef RAPID_SERVE_RESULT_CACHE_H_
 #define RAPID_SERVE_RESULT_CACHE_H_
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -47,25 +43,23 @@ struct CachePolicy {
   /// the *second* miss of its key. One-off (user, candidate-set) requests
   /// then never displace entries the hot set will actually re-read; the
   /// price is one extra model run on each genuinely repeating key. First
-  /// sightings live in a small per-shard direct-mapped sketch, so a
+  /// sightings live in a 1024-cell direct-mapped sketch per shard, so a
   /// sighting can be displaced by a colliding key (re-deferring the
   /// victim) — an accepted approximation, like the LRU bound itself.
   bool admit_on_second_hit = false;
-  /// Sketch cells per shard when `admit_on_second_hit` is set.
-  size_t admission_sketch_slots = 1024;
   /// Negative-result caching (0 = off): rejections that never reach a
   /// model — unknown-slot and invalid-id requests — are remembered for
   /// this many microseconds, so a remote caller replaying the same bad
   /// request is answered from memory instead of re-running the bounds
-  /// check or occupying a queue slot and a worker for the fallback
-  /// heuristic. Entries are keyed under the reserved version 0 (registry
-  /// versions start at 1, so they can never shadow a real result) and are
-  /// swept like any dead version when the slot publishes — a slot that
-  /// comes into existence invalidates its own unknown-slot entries (the
-  /// ones inserted before the publish; later ones are current). The
-  /// TTL should be short: between an insert racing a publish and the
-  /// sweep, a stale negative entry can answer degraded for at most one
-  /// TTL. Requires `enabled`.
+  /// check or occupying a queue slot and a worker for the degraded
+  /// answer. Entries are keyed under the reserved version 0
+  /// (registry versions start at 1, so they can never shadow a real
+  /// result) and are swept like any dead version when the slot publishes,
+  /// before the publish returns — a slot that comes into existence retires
+  /// its own unknown-slot entries. The TTL should be short: a rejection
+  /// that resolved the slot before a publish but stores its entry after
+  /// the sweep can answer degraded for at most one TTL. Requires
+  /// `enabled`.
   int64_t negative_ttl_us = 0;
 };
 
@@ -81,9 +75,8 @@ struct CachePolicy {
 /// becomes *unreachable* — a lookup resolves the slot's current version
 /// first and probes only under it. No flush, no epoch counter, no lock
 /// shared with the publish path: the atomicity of the swap is inherited
-/// from the RCU publish itself. Stale entries still occupy memory until
-/// the background sweep (kicked by each publish/remove) reclaims them,
-/// but they can never answer a request.
+/// from the RCU publish itself. The publisher then sweeps the slot's stale
+/// entries (`Sweep`) before its publish returns, reclaiming their memory.
 ///
 /// ## Fingerprint
 ///
@@ -107,7 +100,6 @@ class ResultCache {
   };
 
   explicit ResultCache(CachePolicy policy);
-  ~ResultCache();
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
@@ -153,15 +145,14 @@ class ResultCache {
   void Insert(const std::string& slot, uint64_t version, uint64_t fingerprint,
               CachedResult result);
 
-  /// Asks the background sweeper to reclaim entries of `slot` whose
-  /// version differs from `live_version` (0 = all versions, for slot
-  /// removal). Entries are already unreachable the moment the registry
-  /// republished; this only frees their memory. Returns immediately.
-  void ScheduleSweep(std::string slot, uint64_t live_version);
-
-  /// Blocks until every scheduled sweep has completed (tests, shutdown
-  /// sequencing).
-  void DrainSweeps();
+  /// Erases the entries of `slot` cached under a version other than
+  /// `live_version` — negative entries included unless `live_version` is 0
+  /// (slot removal, which keeps them: the slot is unknown again) — and any
+  /// TTL-expired entry it walks past. Positive entries are already
+  /// unreachable the moment the registry republished; the sweep frees
+  /// their memory and retires the negative ones. Synchronous: every dead
+  /// entry is gone when it returns.
+  void Sweep(const std::string& slot, uint64_t live_version);
 
   /// Live entries across all shards (racy gauge).
   size_t size() const;
@@ -227,20 +218,14 @@ class ResultCache {
            now - entry.inserted_at >= std::chrono::microseconds(ttl_us);
   }
 
-  void SweeperLoop();
-  /// One publish's cleanup: `slot` entries on versions other than
-  /// `live_version` are dead, except negative (version-0) entries
-  /// inserted at or after `scheduled_at` — those were answered against
-  /// the new publish and stay valid.
-  struct Sweep {
-    std::string slot;
-    uint64_t live_version = 0;
-    Clock::time_point scheduled_at;
-  };
-
-  /// Erases the sweep's dead entries (and any TTL-expired entry it walks
-  /// past) across all shards.
-  void SweepSlot(const Sweep& sweep);
+  /// Finds a live entry under `key` and refreshes its LRU position. An
+  /// expired entry is erased on contact (counted `expired`) and reported
+  /// as a miss.
+  std::optional<CachedResult> Probe(const Key& key);
+  /// Inserts (or refreshes) `key`, evicting from the cold end of the shard
+  /// when over capacity. New positive keys pass second-hit admission
+  /// first; negative (version-0) keys store at once.
+  void Store(Key key, CachedResult result);
 
   const CachePolicy policy_;
   const size_t per_shard_capacity_;
@@ -249,14 +234,6 @@ class ResultCache {
   Counters total_;
   mutable std::mutex slots_mu_;
   std::map<std::string, std::unique_ptr<Counters>> slot_counters_;
-
-  std::mutex sweep_mu_;
-  std::condition_variable sweep_cv_;
-  std::condition_variable sweep_idle_cv_;
-  std::deque<Sweep> pending_sweeps_;
-  bool sweep_active_ = false;
-  bool stop_ = false;
-  std::thread sweeper_;
 };
 
 }  // namespace rapid::serve

@@ -46,8 +46,7 @@ ServingRouter::ServingRouter(const data::Dataset& data, RouterConfig config)
       config_(Sanitized(config)),
       admission_(config_.admission, config_.queue_capacity),
       cache_(config_.cache),
-      queue_(static_cast<size_t>(config_.queue_capacity),
-             admission_.config().high_bursts_per_low) {
+      queue_(static_cast<size_t>(config_.queue_capacity)) {
   workers_.reserve(config_.num_threads);
   for (int i = 0; i < config_.num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -71,8 +70,9 @@ uint64_t ServingRouter::LoadSlot(const std::string& slot,
       slot, WrapForSlot(slot, std::shared_ptr<const rerank::Reranker>(
                                   std::move(model))));
   // Entries cached under older versions became unreachable with the
-  // publish (the version is part of the key); reclaim their memory.
-  cache_.ScheduleSweep(slot, version);
+  // publish (the version is part of the key); reclaim their memory, and
+  // retire the slot's remembered "no such slot" answers, before returning.
+  cache_.Sweep(slot, version);
   return version;
 }
 
@@ -80,7 +80,7 @@ uint64_t ServingRouter::InstallSlot(
     const std::string& slot, std::shared_ptr<const rerank::Reranker> model) {
   if (model == nullptr) return 0;
   const uint64_t version = registry_.Publish(slot, WrapForSlot(slot, std::move(model)));
-  cache_.ScheduleSweep(slot, version);
+  cache_.Sweep(slot, version);
   return version;
 }
 
@@ -117,7 +117,7 @@ std::shared_ptr<const rerank::Reranker> ServingRouter::WrapForSlot(
 
 bool ServingRouter::RemoveSlot(const std::string& slot) {
   if (!registry_.Remove(slot)) return false;
-  cache_.ScheduleSweep(slot, /*live_version=*/0);
+  cache_.Sweep(slot, /*live_version=*/0);
   return true;
 }
 
@@ -169,23 +169,21 @@ bool ServingRouter::CanaryPasses(const std::string& slot,
   return true;
 }
 
-void ServingRouter::DrainCacheMaintenance() { cache_.DrainSweeps(); }
-
 void ServingRouter::WorkerLoop() {
   std::vector<PendingRequest> batch;
   batch.reserve(config_.max_batch);
   while (queue_.PopBatch(static_cast<size_t>(config_.max_batch),
                          std::chrono::microseconds(config_.max_wait_us),
                          &batch) > 0) {
-    ProcessBatch(&batch);
+    ProcessBatch(batch);
     batch.clear();
   }
 }
 
-void ServingRouter::ProcessBatch(std::vector<PendingRequest>* batch) {
+void ServingRouter::ProcessBatch(std::span<PendingRequest> batch) {
   // Triage: resolve each request's slot exactly once (the swap-consistency
   // invariant — attribution and cache inserts below reuse the same
-  // resolved version) and peel off requests the model won't answer.
+  // resolved version) and degrade requests the model won't answer.
   // Survivors are grouped by resolved model so a dequeued batch mixing
   // slots, or racing a hot swap, still runs one batched forward per
   // distinct published model.
@@ -195,25 +193,30 @@ void ServingRouter::ProcessBatch(std::vector<PendingRequest>* batch) {
     std::vector<PendingRequest*> requests;
   };
   std::vector<Group> groups;
-  for (PendingRequest& request : *batch) {
+  for (PendingRequest& request : batch) {
     // The request left the queue: its slot-quota charge is returned now,
     // before any processing, so the quota tracks queue depth only.
     if (request.charged) {
       admission_.ReleaseSlot(request.request.slot);
       request.charged = false;
     }
-    const int64_t waited_us =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            now - request.enqueued_at)
-            .count();
-    std::shared_ptr<const ServedModel> served;
-    if (!(config_.deadline_us > 0 && waited_us >= config_.deadline_us)) {
-      served = registry_.Acquire(request.request.slot);
-    }
+    std::shared_ptr<const ServedModel> served =
+        registry_.Acquire(request.request.slot);
     if (served == nullptr) {
-      // Deadline blown or unknown slot: the per-request path owns the
-      // fallback answer and its accounting.
-      Process(&request);
+      rejections_.Add(&RouterStats::unknown_slot);
+      // Remembered before the promise resolves, so a replay of the same
+      // bad request is answered inline at submit time. The fingerprint was
+      // computed on the submit path (negative lookups precede everything
+      // else there).
+      cache_.InsertNegative(request.request.slot, request.fingerprint,
+                            request.request.list.items);
+      Degrade(&request, nullptr);
+      continue;
+    }
+    if (config_.deadline_us > 0 &&
+        now - request.enqueued_at >=
+            std::chrono::microseconds(config_.deadline_us)) {
+      Degrade(&request, served.get());
       continue;
     }
     Group* group = nullptr;
@@ -231,51 +234,64 @@ void ServingRouter::ProcessBatch(std::vector<PendingRequest>* batch) {
   }
 
   for (Group& group : groups) {
+    const ServedModel& served = *group.served;
     aggregate_metrics_.RecordBatch(static_cast<int>(group.requests.size()));
-    group.served->metrics->RecordBatch(
-        static_cast<int>(group.requests.size()));
+    served.metrics->RecordBatch(static_cast<int>(group.requests.size()));
     std::vector<const data::ImpressionList*> lists;
     lists.reserve(group.requests.size());
     for (const PendingRequest* request : group.requests) {
       lists.push_back(&request->request.list);
     }
-    // Per-worker scratch kept warm across batches — the model's batched
+    // Per-thread scratch kept warm across batches — the model's batched
     // path allocates nothing on the heap once this is sized.
     static thread_local std::vector<std::vector<int>> permutations;
-    group.served->model->RerankBatchInto(data_, lists, &permutations);
+    served.model->RerankBatchInto(data_, lists, &permutations);
     for (size_t i = 0; i < group.requests.size(); ++i) {
       PendingRequest* request = group.requests[i];
       RouterResponse response;
       // Copy out of the scratch; the response (and the cache insert below)
       // own their items independently of the reused buffer.
       response.items = permutations[i];
-      response.model_name = group.served->model_name;
-      response.model_version = group.served->version;
+      response.model_name = served.model_name;
+      response.model_version = served.version;
       if (request->cacheable) {
-        cache_.Insert(request->request.slot, group.served->version,
+        // Keyed under the version that actually answered — which may
+        // already be newer than the one probed at submit time if a swap
+        // landed in between. Either way the (version, items) pair is
+        // consistent.
+        cache_.Insert(request->request.slot, served.version,
                       request->fingerprint,
-                      {response.items, group.served->model_name,
-                       group.served->version});
+                      {response.items, served.model_name, served.version});
       }
-      response.latency_us =
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - request->enqueued_at)
-              .count();
-      const uint64_t latency = static_cast<uint64_t>(response.latency_us);
-      aggregate_metrics_.RecordRequest(latency, /*fallback=*/false);
-      group.served->metrics->RecordRequest(latency, /*fallback=*/false);
-      request->promise.set_value(std::move(response));
+      Finish(request, std::move(response), &served);
     }
   }
 }
 
-std::vector<int> ServingRouter::FallbackRerank(
-    const data::ImpressionList& list) const {
-  const rerank::Reranker& fallback =
-      config_.fallback == FallbackPolicy::kMmr
-          ? static_cast<const rerank::Reranker&>(mmr_fallback_)
-          : static_cast<const rerank::Reranker&>(init_fallback_);
-  return fallback.Rerank(data_, list);
+void ServingRouter::Degrade(PendingRequest* request, const ServedModel* served,
+                            bool shed, bool cache_hit) {
+  RouterResponse response;
+  response.items = request->request.list.items;
+  response.degraded = true;
+  response.shed = shed;
+  response.cache_hit = cache_hit;
+  Finish(request, std::move(response), served);
+}
+
+void ServingRouter::Finish(PendingRequest* request, RouterResponse response,
+                           const ServedModel* served) {
+  response.latency_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                            std::chrono::steady_clock::now() -
+                            request->enqueued_at)
+                            .count();
+  const uint64_t latency = static_cast<uint64_t>(response.latency_us);
+  aggregate_metrics_.RecordRequest(latency, response.degraded);
+  if (response.shed) aggregate_metrics_.RecordShed();
+  if (served != nullptr) {
+    served->metrics->RecordRequest(latency, response.degraded);
+    if (response.shed) served->metrics->RecordShed();
+  }
+  request->promise.set_value(std::move(response));
 }
 
 bool ServingRouter::ListInBounds(const data::ImpressionList& list) const {
@@ -293,63 +309,6 @@ bool ServingRouter::ListInBounds(const data::ImpressionList& list) const {
   return true;
 }
 
-void ServingRouter::Process(PendingRequest* request, bool shed) {
-  const auto now = std::chrono::steady_clock::now;
-  const int64_t waited_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          now() - request->enqueued_at)
-          .count();
-
-  // Resolve the slot exactly once: everything below — the re-rank and the
-  // attribution stamped on the response — uses this one published version,
-  // even if a hot swap republishes the slot mid-flight.
-  const std::shared_ptr<const ServedModel> served =
-      registry_.Acquire(request->request.slot);
-  const bool deadline_blown =
-      config_.deadline_us > 0 && waited_us >= config_.deadline_us;
-
-  RouterResponse response;
-  if (shed || deadline_blown || served == nullptr) {
-    response.items = FallbackRerank(request->request.list);
-    response.degraded = true;
-    response.shed = shed;
-    if (!shed && !deadline_blown && served == nullptr) {
-      rejections_.Add(&RouterStats::unknown_slot);
-      // Remember the rejection so a replay of the same bad request is
-      // answered inline at submit time. The fingerprint was computed on
-      // the submit path (negative lookups precede everything else there).
-      if (cache_.NegativeEnabled()) {
-        cache_.InsertNegative(request->request.slot, request->fingerprint,
-                              response.items);
-      }
-    }
-  } else {
-    response.items = served->model->Rerank(data_, request->request.list);
-    response.model_name = served->model_name;
-    response.model_version = served->version;
-    if (request->cacheable) {
-      // Keyed under the version that actually answered — which may already
-      // be newer than the one probed at submit time if a swap landed in
-      // between. Either way the (version, items) pair is consistent.
-      cache_.Insert(request->request.slot, served->version,
-                    request->fingerprint,
-                    {response.items, served->model_name, served->version});
-    }
-  }
-
-  response.latency_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                            now() - request->enqueued_at)
-                            .count();
-  const uint64_t latency = static_cast<uint64_t>(response.latency_us);
-  aggregate_metrics_.RecordRequest(latency, response.degraded);
-  if (shed) aggregate_metrics_.RecordShed();
-  if (served != nullptr) {
-    served->metrics->RecordRequest(latency, response.degraded);
-    if (shed) served->metrics->RecordShed();
-  }
-  request->promise.set_value(std::move(response));
-}
-
 std::future<RouterResponse> ServingRouter::Submit(RouterRequest request) {
   PendingRequest pending;
   pending.request = std::move(request);
@@ -359,56 +318,33 @@ std::future<RouterResponse> ServingRouter::Submit(RouterRequest request) {
   // Replayed bad traffic first: a (slot, list) pair the router already
   // rejected — invalid ids or an unknown slot — is answered from the
   // negative cache before re-running the bounds check or occupying a
-  // queue slot for the fallback heuristic.
+  // queue slot. The fingerprint covers the items, so the remembered
+  // answer is this request's submitted order.
   if (cache_.NegativeEnabled()) {
     pending.fingerprint = ResultCache::Fingerprint(pending.request.list);
-    std::optional<std::vector<int>> remembered =
-        cache_.LookupNegative(pending.request.slot, pending.fingerprint);
-    if (remembered.has_value()) {
-      RouterResponse response;
-      response.items = std::move(*remembered);
-      response.degraded = true;
-      response.cache_hit = true;
-      response.latency_us =
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - pending.enqueued_at)
-              .count();
-      aggregate_metrics_.RecordRequest(
-          static_cast<uint64_t>(response.latency_us), /*fallback=*/true);
-      pending.promise.set_value(std::move(response));
+    if (cache_.LookupNegative(pending.request.slot, pending.fingerprint)) {
+      Degrade(&pending, nullptr, /*shed=*/false, /*cache_hit=*/true);
       return future;
     }
   }
 
   // Defensive bounds check on caller-supplied ids: a networked caller can
   // put anything on the wire, and an out-of-range user or item id would
-  // index past the model's embedding tables. Such requests are answered
-  // with the candidates in submitted order — the only id-agnostic answer —
-  // and never reach a model or fallback heuristic. Datasets without users
-  // or items (heuristic-only setups) have no id universe to check against.
+  // index past the model's embedding tables. Such requests never reach a
+  // model. Datasets without users or items (heuristic-only setups) have
+  // no id universe to check against.
   if (!ListInBounds(pending.request.list)) {
     rejections_.Add(&RouterStats::invalid_ids);
-    RouterResponse response;
-    response.items = pending.request.list.items;
-    response.degraded = true;
-    if (cache_.NegativeEnabled()) {
-      cache_.InsertNegative(pending.request.slot, pending.fingerprint,
-                            response.items);
-    }
-    response.latency_us =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - pending.enqueued_at)
-            .count();
-    aggregate_metrics_.RecordRequest(static_cast<uint64_t>(response.latency_us),
-                                     /*fallback=*/true);
-    pending.promise.set_value(std::move(response));
+    cache_.InsertNegative(pending.request.slot, pending.fingerprint,
+                          pending.request.list.items);
+    Degrade(&pending, nullptr);
     return future;
   }
 
   if (shutdown_.load(std::memory_order_acquire)) {
     // Serve inline on the caller's thread so no submission is ever lost.
     // The inline path always runs the model (no cache lookup or insert).
-    Process(&pending);
+    ProcessBatch({&pending, 1});
     return future;
   }
 
@@ -434,36 +370,30 @@ std::future<RouterResponse> ServingRouter::Submit(RouterRequest request) {
         response.model_name = std::move(hit->model_name);
         response.model_version = hit->model_version;
         response.cache_hit = true;
-        response.latency_us =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - pending.enqueued_at)
-                .count();
-        const uint64_t latency = static_cast<uint64_t>(response.latency_us);
-        aggregate_metrics_.RecordRequest(latency, /*fallback=*/false);
-        served->metrics->RecordRequest(latency, /*fallback=*/false);
-        pending.promise.set_value(std::move(response));
+        Finish(&pending, std::move(response), served.get());
         return future;
       }
     }
   }
 
-  const size_t lane = pending.request.lane == Lane::kHigh ? 0 : 1;
-  if (!admission_.Admit(pending.request.lane, queue_.size())) {
-    Process(&pending, /*shed=*/true);
-    return future;
-  }
-  // Per-slot quota, independent of the global policy: one tenant's burst
-  // is shed at its own budget even while the shared queue has room.
-  if (!admission_.TryChargeSlot(pending.request.slot)) {
-    rejections_.Add(&RouterStats::quota_shed);
-    Process(&pending, /*shed=*/true);
+  // Admission: the lane watermark, then the per-slot quota, independent of
+  // the global policy — one tenant's burst is shed at its own budget even
+  // while the shared queue has room. A shed request is still attributed to
+  // its slot.
+  const bool admitted = admission_.Admit(pending.request.lane, queue_.size());
+  if (!admitted || !admission_.TryChargeSlot(pending.request.slot)) {
+    if (admitted) rejections_.Add(&RouterStats::quota_shed);
+    Degrade(&pending, registry_.Acquire(pending.request.slot).get(),
+            /*shed=*/true);
     return future;
   }
   pending.charged = admission_.has_quotas();
 
   using PushResult = BoundedRequestQueue<PendingRequest>::PushResult;
+  const size_t lane = pending.request.lane == Lane::kHigh ? 0 : 1;
+  const bool shed_mode = admission_.config().policy == AdmissionPolicy::kShed;
   PushResult result;
-  if (admission_.config().policy == AdmissionPolicy::kShed) {
+  if (shed_mode) {
     // Shed mode never blocks: losing the TryPush race to capacity is the
     // same signal as the watermark.
     result = queue_.TryPush(std::move(pending), lane);
@@ -476,29 +406,19 @@ std::future<RouterResponse> ServingRouter::Submit(RouterRequest request) {
                                                    : PushResult::kClosed;
   }
 
-  switch (result) {
-    case PushResult::kOk:
-      aggregate_metrics_.RecordQueueDepth(static_cast<int>(queue_.size()));
-      break;
-    case PushResult::kFull:
-      // Shed mode: full queue. Block mode: the deadline elapsed while the
-      // producer waited, so the request is already past saving — answer
-      // with the fallback instead of the model. Either way the request
-      // never entered the queue, so its quota charge comes back here.
-      if (pending.charged) {
-        admission_.ReleaseSlot(pending.request.slot);
-        pending.charged = false;
-      }
-      Process(&pending,
-              /*shed=*/admission_.config().policy == AdmissionPolicy::kShed);
-      break;
-    case PushResult::kClosed:
-      if (pending.charged) {
-        admission_.ReleaseSlot(pending.request.slot);
-        pending.charged = false;
-      }
-      Process(&pending);
-      break;
+  if (result == PushResult::kOk) {
+    aggregate_metrics_.RecordQueueDepth(static_cast<int>(queue_.size()));
+  } else if (result == PushResult::kFull && shed_mode) {
+    // The request never entered the queue, so its quota charge comes back
+    // here.
+    if (pending.charged) admission_.ReleaseSlot(pending.request.slot);
+    Degrade(&pending, registry_.Acquire(pending.request.slot).get(),
+            /*shed=*/true);
+  } else {
+    // The queue closed under the push, or (block mode) the producer waited
+    // out the deadline: a batch of one serves it here, which returns the
+    // quota charge and degrades a request that is already past saving.
+    ProcessBatch({&pending, 1});
   }
   return future;
 }

@@ -9,13 +9,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "datagen/types.h"
-#include "rerank/mmr.h"
 #include "rerank/neural_base.h"
 #include "rerank/reranker.h"
 #include "serve/admission.h"
@@ -27,11 +27,6 @@
 
 namespace rapid::serve {
 
-/// Which cheap heuristic answers a request the model will not (deadline
-/// miss, shed, or unknown slot): the untouched initial ranking, or a greedy
-/// MMR pass that at least diversifies.
-enum class FallbackPolicy { kInitialOrder, kMmr };
-
 struct RouterConfig {
   /// Size of the worker pool, shared by every slot.
   int num_threads = 4;
@@ -42,10 +37,11 @@ struct RouterConfig {
   /// Bounded request queue capacity, shared across both priority lanes.
   int queue_capacity = 1024;
   /// Per-request deadline measured from `Submit`; 0 disables. A request
-  /// dequeued after its deadline is answered by the fallback heuristic.
+  /// dequeued after its deadline is answered degraded, in submitted order.
   int64_t deadline_us = 0;
-  FallbackPolicy fallback = FallbackPolicy::kInitialOrder;
-  /// Load-shedding policy, watermarks, and the lane drain ratio.
+  /// Load-shedding policy, lane watermarks and per-slot quotas. The lane
+  /// drain is fixed: one low-lane pop after every 4 high-lane pops that
+  /// bypassed waiting low-lane work (`BoundedRequestQueue`'s default).
   AdmissionConfig admission;
   /// Router-level result cache (off by default): repeated
   /// (user, candidate-set) requests against the same published model
@@ -67,8 +63,9 @@ struct RouterRequest {
 struct RouterResponse {
   /// Re-ranked item ids (a permutation of the submitted `list.items`).
   std::vector<int> items;
-  /// True if the fallback heuristic produced `items` (deadline miss,
-  /// shed, or unknown slot) — the model did not run.
+  /// True if the model did not run (deadline miss, shed, unknown slot or
+  /// invalid ids): `items` is then the submitted order, the initial
+  /// ranking a final-stage re-ranker falls back to.
   bool degraded = false;
   /// True if admission control rejected the request (implies `degraded`).
   bool shed = false;
@@ -132,7 +129,7 @@ struct RouterStats {
   static void Fields(F&& f) {
     using stats::Field;
     constexpr auto kCounter = stats::Kind::kCounter;
-    // Answered by the fallback heuristic, counted in `total` only.
+    // Answered degraded, counted in `total` only.
     f(Field{1, "unknown_slot", kCounter, "requests",
             "Requests naming no registered slot."},
       &RouterStats::unknown_slot);
@@ -163,9 +160,9 @@ struct RouterStats {
 /// Requests enter a two-lane bounded queue (high lane drained first,
 /// starvation-free) guarded by an `AdmissionController`: under the `kShed`
 /// policy a request arriving above its lane's depth watermark is answered
-/// immediately by the cheap fallback heuristic instead of blocking the
-/// caller. Workers micro-batch across slots, grouping each dequeued batch
-/// by resolved model and answering every group with a single
+/// immediately, degraded, instead of blocking the caller. Workers
+/// micro-batch across slots, grouping each dequeued batch by resolved
+/// model and answering every group with a single
 /// `Reranker::RerankBatch` call; each request resolves its
 /// slot to the currently published `ServedModel` exactly once, so a
 /// concurrent `LoadSlot` swap is invisible except through the version
@@ -195,9 +192,11 @@ class ServingRouter {
   /// canary probe *before* publish — the one set via `SetCanary`, or (for
   /// format v3+ snapshots) the probe `Snapshot::Save` auto-recorded in the
   /// file — and a drifting (corrupt-but-parseable) snapshot is rejected.
-  /// Returns the
-  /// new version, or 0 if the snapshot failed to load or the canary
-  /// rejected it — either way the slot keeps serving its current version.
+  /// Returns the new version, or 0 if the snapshot failed to load or the
+  /// canary rejected it — either way the slot keeps serving its current
+  /// version. A publish returns only after the result cache has swept the
+  /// slot's entries of other versions, so no answer the previous version
+  /// cached, and no remembered "no such slot", outlives the return.
   uint64_t LoadSlot(const std::string& slot, const std::string& path);
 
   /// Registers (or replaces) an explicit canary probe guarding `LoadSlot`
@@ -230,8 +229,9 @@ class ServingRouter {
   /// published wrapped models keep serving until the next publish.
   bool ClearSlotWrapper(const std::string& slot);
 
-  /// Unregisters `slot`. In-flight requests finish on the retiring model;
-  /// subsequent submissions to the slot degrade to the fallback.
+  /// Unregisters `slot` and sweeps its cached answers before returning.
+  /// In-flight requests finish on the retiring model; subsequent
+  /// submissions to the slot are answered degraded.
   bool RemoveSlot(const std::string& slot);
 
   /// Registered slot names, sorted.
@@ -243,21 +243,16 @@ class ServingRouter {
   }
 
   /// Routes a request. Never loses a submission: depending on admission
-  /// policy and queue state the future resolves from the model, the
-  /// fallback heuristic (shed / deadline / unknown slot), or — after
+  /// policy and queue state the future resolves from the model, degraded
+  /// (shed / deadline / unknown slot / invalid ids), or — after
   /// `Shutdown` — an inline synchronous serve on the caller's thread.
   /// Under `kBlock` with a deadline configured, the blocking wait is
-  /// capped at the deadline and times out into the fallback.
+  /// capped at the deadline and times out into a degraded answer.
   std::future<RouterResponse> Submit(RouterRequest request);
 
   /// Closes the queue, drains outstanding requests, and joins the shared
   /// worker pool. Idempotent; called by the destructor.
   void Shutdown();
-
-  /// Blocks until all scheduled cache sweeps have completed — dead-version
-  /// entries are unreachable regardless (the version is part of the cache
-  /// key); this only makes the memory reclaim observable (tests, ops).
-  void DrainCacheMaintenance();
 
   /// Per-slot and aggregate serving stats.
   RouterStats stats() const;
@@ -284,18 +279,25 @@ class ServingRouter {
   };
 
   void WorkerLoop();
-  /// Runs one dequeued micro-batch: each request resolves its slot once;
-  /// deadline-blown and unknown-slot requests take the per-request
-  /// fallback path, the rest are grouped by the published model that will
-  /// answer them and served by one `Reranker::RerankBatch` call per group
-  /// (so a batch mixing slots still batches within each slot). Realized
-  /// group sizes are recorded on the aggregate and per-slot metrics.
-  void ProcessBatch(std::vector<PendingRequest>* batch);
-  /// Runs one request (model, fallback, or forced shed) and fulfills its
-  /// promise.
-  void Process(PendingRequest* request, bool shed = false);
-  /// The fallback heuristic for `list` under the configured policy.
-  std::vector<int> FallbackRerank(const data::ImpressionList& list) const;
+  /// The model path, for a dequeued micro-batch or for one request served
+  /// inline (after `Shutdown`, or when the queue closed under its push).
+  /// Each request resolves its slot exactly once; unknown-slot and
+  /// deadline-blown requests are degraded, the rest are grouped by the
+  /// published model that answers them and served by one
+  /// `Reranker::RerankBatchInto` call per group (so a batch mixing slots
+  /// still batches within each slot). Realized group sizes are recorded on
+  /// the aggregate and per-slot metrics.
+  void ProcessBatch(std::span<PendingRequest> batch);
+  /// The one degraded answer: the submitted order — the initial ranking a
+  /// final-stage re-ranker falls back to, safe for any ids. `served`
+  /// attributes it to a registered slot's metrics (null: aggregate only).
+  void Degrade(PendingRequest* request, const ServedModel* served,
+               bool shed = false, bool cache_hit = false);
+  /// The one exit of every request: stamps the end-to-end latency, records
+  /// the aggregate metrics (and the slot's, when `served` is set) and
+  /// fulfils the promise.
+  void Finish(PendingRequest* request, RouterResponse response,
+              const ServedModel* served);
   /// True if every id in `list` is inside the dataset's user/item universe
   /// and the score vector matches the item vector — i.e. the request is
   /// safe to hand to a model. Vacuously true for empty datasets.
@@ -309,8 +311,6 @@ class ServingRouter {
 
   const data::Dataset& data_;
   const RouterConfig config_;
-  rerank::InitReranker init_fallback_;
-  rerank::MmrReranker mmr_fallback_;
   ModelRegistry registry_;
   AdmissionController admission_;
   ResultCache cache_;

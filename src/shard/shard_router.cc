@@ -81,7 +81,7 @@ std::future<ShardReply> ShardRouter::Submit(net::WireRequest request) {
   if (!shard.healthy.load(std::memory_order_acquire)) {
     // Fast-fail: a dead shard answers immediately instead of queueing the
     // caller behind a socket that cannot make progress.
-    shard.failed.fetch_add(1, std::memory_order_relaxed);
+    shard.counters.Add(&ShardStats::failed);
     promise.set_value(FailedReply(shard_index, "shard down"));
     return future;
   }
@@ -113,13 +113,13 @@ std::future<ShardReply> ShardRouter::Submit(net::WireRequest request) {
       // buffers a concurrent read is using). Mark the shard down, fail
       // this request, and let the receiver's backoff loop recover.
       shard.healthy.store(false, std::memory_order_release);
-      shard.failed.fetch_add(1, std::memory_order_relaxed);
+      shard.counters.Add(&ShardStats::failed);
       Pending pending = std::move(it->second);
       shard.pending.erase(it);
       pending.promise.set_value(FailedReply(shard_index, "send failed"));
       return future;
     }
-    shard.sent.fetch_add(1, std::memory_order_relaxed);
+    shard.counters.Add(&ShardStats::sent);
   }
   return future;
 }
@@ -143,17 +143,17 @@ void ShardRouter::ResolveReply(Shard* shard, net::Client::Reply reply) {
   if (reply.is_error) {
     out.ok = false;
     out.error = std::move(reply.error_message);
-    shard->error_frames.fetch_add(1, std::memory_order_relaxed);
+    shard->counters.Add(&ShardStats::error_frames);
   } else if (reply.type == net::FrameType::kScoreResponse) {
     out.ok = true;
     out.response = std::move(reply.response);
-    shard->ok.fetch_add(1, std::memory_order_relaxed);
+    shard->counters.Add(&ShardStats::ok);
   } else {
     // A stats/load frame on the score connection — nothing sends those
     // here, but surface rather than hang.
     out.ok = false;
     out.error = "unexpected admin frame on score connection";
-    shard->error_frames.fetch_add(1, std::memory_order_relaxed);
+    shard->counters.Add(&ShardStats::error_frames);
   }
   pending.promise.set_value(std::move(out));
 }
@@ -176,7 +176,7 @@ void ShardRouter::FailAllPending(Shard* shard, const std::string& reason) {
     shard->pending.clear();
   }
   const int shard_index = IndexOf(shard);
-  shard->failed.fetch_add(doomed.size(), std::memory_order_relaxed);
+  shard->counters.Add(&ShardStats::failed, doomed.size());
   for (Pending& pending : doomed) {
     // set_value outside the lock: a caller's .get() continuation may call
     // back into Submit.
@@ -201,7 +201,7 @@ void ShardRouter::ExpirePending(Shard* shard) {
   }
   if (expired.empty()) return;
   const int shard_index = IndexOf(shard);
-  shard->timeouts.fetch_add(expired.size(), std::memory_order_relaxed);
+  shard->counters.Add(&ShardStats::timeouts, expired.size());
   for (Pending& pending : expired) {
     pending.promise.set_value(FailedReply(shard_index, "request timed out"));
   }
@@ -222,7 +222,7 @@ void ShardRouter::ReceiverLoop(Shard* shard) {
       {
         std::lock_guard<std::mutex> lock(shard->mu);
         if (shard->client.Reconnect()) {
-          shard->reconnects.fetch_add(1, std::memory_order_relaxed);
+          shard->counters.Add(&ShardStats::reconnects);
           shard->healthy.store(true, std::memory_order_release);
           backoff_ms = config_.backoff_initial_ms;
           continue;
@@ -362,13 +362,7 @@ FleetStats ShardRouter::Stats() {
   FleetStats fleet;
   fleet.shards.reserve(shards_.size());
   for (auto& shard : shards_) {
-    ShardStats stats;
-    stats.sent = shard->sent.load(std::memory_order_relaxed);
-    stats.ok = shard->ok.load(std::memory_order_relaxed);
-    stats.error_frames = shard->error_frames.load(std::memory_order_relaxed);
-    stats.failed = shard->failed.load(std::memory_order_relaxed);
-    stats.timeouts = shard->timeouts.load(std::memory_order_relaxed);
-    stats.reconnects = shard->reconnects.load(std::memory_order_relaxed);
+    ShardStats stats = shard->counters.Snapshot();
     stats.healthy = shard->healthy.load(std::memory_order_acquire);
     fleet.shards.push_back(stats);
 

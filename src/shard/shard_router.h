@@ -247,13 +247,9 @@ class ShardRouter {
     std::map<uint64_t, Pending> pending;
     std::atomic<bool> healthy{false};
     std::thread receiver;
-    // Counters (relaxed; snapshotted by Stats()).
-    std::atomic<uint64_t> sent{0};
-    std::atomic<uint64_t> ok{0};
-    std::atomic<uint64_t> error_frames{0};
-    std::atomic<uint64_t> failed{0};
-    std::atomic<uint64_t> timeouts{0};
-    std::atomic<uint64_t> reconnects{0};
+    /// The `ShardStats` counters; `healthy` above is stamped into each
+    /// snapshot.
+    serve::stats::LiveStats<ShardStats> counters;
   };
 
   void ReceiverLoop(Shard* shard);

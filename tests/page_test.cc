@@ -515,6 +515,37 @@ TEST(PageWireTest, OutOfCatalogIdsDegradeInsteadOfCrashing) {
   EXPECT_TRUE(IsPermutationOf(reply.page.lists.at(0), list.items));
 }
 
+TEST(PageWireTest, AttributionComesFromFirstServedList) {
+  // List 0 degrades on an out-of-catalog item; list 1 is served. The page
+  // is degraded, but its attribution is list 1's stamp, not list 0's empty
+  // one.
+  const data::Dataset data = SmallDataset();
+  serve::ServingRouter router(data, {});
+  router.InstallSlot("main", std::make_shared<RotateReranker>(1));
+  net::Server server(router);
+  ASSERT_TRUE(server.Start());
+
+  net::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+  net::WirePageRequest request;
+  request.slot = "main";
+  request.diversity_budget = 1.0f;
+  data::ImpressionList out_of_catalog;
+  out_of_catalog.items = {1, 2, 1'000'000};
+  out_of_catalog.scores = {1.0f, 0.9f, 0.8f};
+  data::ImpressionList in_catalog;
+  in_catalog.items = {3, 4, 5};
+  in_catalog.scores = {1.0f, 0.9f, 0.8f};
+  request.lists = {out_of_catalog, in_catalog};
+
+  net::Client::Reply reply;
+  ASSERT_TRUE(client.CallPage(request, &reply, 5000));
+  ASSERT_FALSE(reply.is_error);
+  EXPECT_TRUE(reply.page.degraded);
+  EXPECT_EQ(reply.page.model_name, "rotate-1");
+  EXPECT_EQ(reply.page.model_version, 1u);
+}
+
 TEST(PageWireTest, ConcurrentPagesSurviveSnapshotSwaps) {
   // TSan coverage: page fan-out on the dispatchers while the router's
   // published slot is hot-swapped mid-stream. No ordering is asserted —

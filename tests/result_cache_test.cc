@@ -183,8 +183,7 @@ TEST(ResultCacheTest, SweepReclaimsDeadVersionsOnly) {
   cache.Insert("x", 1, 5, Result(1));
   ASSERT_EQ(cache.size(), 5u);
 
-  cache.ScheduleSweep("m", /*live_version=*/2);
-  cache.DrainSweeps();
+  cache.Sweep("m", /*live_version=*/2);
   EXPECT_EQ(cache.size(), 2u);  // m@v2 and x@v1 survive.
   EXPECT_TRUE(cache.Lookup("m", 2, 4).has_value());
   EXPECT_TRUE(cache.Lookup("x", 1, 5).has_value());
@@ -193,8 +192,7 @@ TEST(ResultCacheTest, SweepReclaimsDeadVersionsOnly) {
   EXPECT_EQ(cache.StatsFor("x").swept, 0u);
 
   // live_version 0 (slot removal) reclaims every version of the slot.
-  cache.ScheduleSweep("x", 0);
-  cache.DrainSweeps();
+  cache.Sweep("x", 0);
   EXPECT_FALSE(cache.Lookup("x", 1, 5).has_value());
 }
 
@@ -279,7 +277,6 @@ TEST(RouterCacheTest, SwapMakesStaleEntriesUnreachableAndSweepsThem) {
   EXPECT_EQ(fresh_hit.model_version, 2u);
   EXPECT_EQ(fresh_hit.items, Rotated(list.items, 4));
 
-  router.DrainCacheMaintenance();
   router.Shutdown();
   const serve::RouterStats stats = router.stats();
   EXPECT_EQ(stats.cache.hits, 2u);
@@ -451,9 +448,8 @@ TEST(ResultCacheTest, PublishSweepKeepsNegativesAnsweredAfterIt) {
   policy.negative_ttl_us = 5'000'000;
   serve::ResultCache cache(policy);
   cache.InsertNegative("m", 1, {9, 8, 7});  // Answered before the publish.
-  cache.ScheduleSweep("m", /*live_version=*/1);
+  cache.Sweep("m", /*live_version=*/1);
   cache.InsertNegative("m", 2, {6, 5});  // Answered after it.
-  cache.DrainSweeps();
   // However late the background sweep ran, it removes only the entry
   // that predates the publish.
   EXPECT_FALSE(cache.LookupNegative("m", 1).has_value());
@@ -491,7 +487,6 @@ TEST(RouterCacheTest, NegativeCacheRemembersUnknownSlotUntilPublish) {
   // Publishing the slot sweeps its negative entries: the request must now
   // reach the model instead of replaying "no such slot".
   router.InstallSlot("ghost", std::make_shared<RotateReranker>(3));
-  router.DrainCacheMaintenance();
   const serve::RouterResponse served =
       router.Submit({"ghost", serve::Lane::kHigh, list}).get();
   EXPECT_FALSE(served.degraded);
@@ -505,6 +500,41 @@ TEST(RouterCacheTest, NegativeCacheRemembersUnknownSlotUntilPublish) {
   EXPECT_EQ(stats.unknown_slot, 1u);  // The negative hit did not recount it.
   EXPECT_NE(stats.ToTable().find("cache negative"), std::string::npos);
   EXPECT_NE(stats.ToJson().find("\"negative_hits\""), std::string::npos);
+}
+
+TEST(RouterCacheTest, PublishRetiresUnknownSlotRejectionsBeforeReturning) {
+  // A publish returns only after its sweep, so the very next submission
+  // reaches the new model with no drain in between — also when the sweep
+  // has a full cache of another slot's answers to walk. Repeated over 50
+  // fresh slots because a lagging sweep loses this race only most of the
+  // time.
+  const data::Dataset data;
+  serve::RouterConfig cfg;
+  cfg.cache.enabled = true;
+  cfg.cache.negative_ttl_us = 5'000'000;
+  serve::ServingRouter router(data, cfg);
+  router.InstallSlot("main", std::make_shared<RotateReranker>(1));
+  std::vector<std::future<serve::RouterResponse>> fill;
+  for (int user = 0; user < static_cast<int>(cfg.cache.capacity); ++user) {
+    fill.push_back(
+        router.Submit({"main", serve::Lane::kHigh, TenItemList(user)}));
+  }
+  for (auto& f : fill) ASSERT_FALSE(f.get().degraded);
+
+  const data::ImpressionList list = TenItemList();
+  for (int trial = 0; trial < 50; ++trial) {
+    const std::string slot = "ghost-" + std::to_string(trial);
+    ASSERT_TRUE(router.Submit({slot, serve::Lane::kHigh, list}).get().degraded);
+    const serve::RouterResponse replay =
+        router.Submit({slot, serve::Lane::kHigh, list}).get();
+    ASSERT_TRUE(replay.degraded && replay.cache_hit);
+
+    router.InstallSlot(slot, std::make_shared<RotateReranker>(3));
+    const serve::RouterResponse served =
+        router.Submit({slot, serve::Lane::kHigh, list}).get();
+    EXPECT_FALSE(served.degraded) << slot;
+    EXPECT_EQ(served.items, Rotated(list.items, 3)) << slot;
+  }
 }
 
 TEST_F(RouterCacheModelTest, NegativeCacheShortCircuitsInvalidIdProbes) {

@@ -6,6 +6,8 @@
 // survives a swap, and versions only ever move forward. The models are
 // deterministic rotations keyed by install order, so "what the stamped
 // version computes" is checkable bit-for-bit from outside the router.
+// A third property drives every exit a request can take out of the router
+// and checks the accounting identities that hold whichever exit it takes.
 //
 // Counterexamples shrink to a minimal op schedule and print a replayable
 // seed (see tests/proptest.h).
@@ -289,6 +291,210 @@ TEST(RouterPropertyTest, NoStaleVersionItemsPairSurvivesConcurrentSwaps) {
         os << "]";
         return os.str();
       }));
+}
+
+// ---------------------------------------------------------------------------
+// Accounting across every exit: negative-cache replay, invalid ids, cache
+// hit, watermark shed, quota shed, deadline miss, unknown slot, model
+// answer, and inline serve after Shutdown. Which exit a request takes
+// depends on scheduling; the identities checked here hold for all of them.
+
+/// A rotation that stalls per list, so bursts back the queue up into sheds
+/// and deadline misses.
+class SlowRotateReranker : public RotateReranker {
+ public:
+  SlowRotateReranker(int shift, int stall_us)
+      : RotateReranker(shift), stall_us_(stall_us) {}
+
+  std::vector<int> Rerank(const data::Dataset& data,
+                          const data::ImpressionList& list) const override {
+    std::this_thread::sleep_for(std::chrono::microseconds(stall_us_));
+    return RotateReranker::Rerank(data, list);
+  }
+
+ private:
+  const int stall_us_;
+};
+
+/// Slot 0 "a" (shift 1, quota 2), slot 1 "b" (shift 2), slot 2 "ghost"
+/// (never registered).
+const char* const kExitSlots[] = {"a", "b", "ghost"};
+constexpr int kCatalogUsers = 4;
+constexpr int kCatalogItems = 32;
+
+struct ExitOp {
+  bool shutdown = false;  // Shutdown instead of submitting; later ops serve
+                          // inline.
+  int slot = 0;
+  int user = 0;  // With `len` and `invalid`, the whole list: repeats replay.
+  int len = 2;
+  bool invalid = false;  // The last item lies outside the catalog.
+  bool low_lane = false;
+  bool wait = false;  // Wait for the reply before the next op.
+};
+
+struct ExitSchedule {
+  bool block = false;  // kBlock admission (deadline-capped push), else kShed.
+  std::vector<ExitOp> ops;
+};
+
+data::ImpressionList ExitList(const ExitOp& op) {
+  data::ImpressionList list = ListOf(op.user, op.len);
+  if (op.invalid) list.items.back() = 1'000'000;
+  return list;
+}
+
+ExitSchedule RandomExitSchedule(std::mt19937_64& rng) {
+  std::uniform_int_distribution<int> num_ops(1, 60);
+  std::uniform_int_distribution<int> coin(0, 1);
+  std::uniform_int_distribution<int> die(0, 79);
+  std::uniform_int_distribution<int> slot(0, 2);
+  std::uniform_int_distribution<int> user(0, kCatalogUsers - 1);
+  std::uniform_int_distribution<int> len(1, 5);
+  ExitSchedule schedule;
+  schedule.block = coin(rng) == 1;
+  schedule.ops.resize(static_cast<size_t>(num_ops(rng)));
+  for (ExitOp& op : schedule.ops) {
+    op.shutdown = die(rng) == 0;
+    op.slot = slot(rng);
+    op.user = user(rng);
+    op.len = len(rng);
+    op.invalid = die(rng) < 12;
+    op.low_lane = coin(rng) == 1;
+    op.wait = die(rng) < 24;
+  }
+  return schedule;
+}
+
+std::string DescribeExitSchedule(const ExitSchedule& schedule) {
+  std::ostringstream os;
+  os << (schedule.block ? "block" : "shed") << ", " << schedule.ops.size()
+     << " ops [";
+  for (size_t i = 0; i < schedule.ops.size(); ++i) {
+    const ExitOp& op = schedule.ops[i];
+    if (i > 0) os << ' ';
+    if (op.shutdown) {
+      os << "shutdown";
+      continue;
+    }
+    os << kExitSlots[op.slot] << "(u" << op.user << ",n" << op.len
+       << (op.invalid ? ",bad" : "") << (op.low_lane ? ",low" : "")
+       << (op.wait ? ",wait" : "") << ")";
+  }
+  os << "]";
+  return os.str();
+}
+
+TEST(RouterPropertyTest, EveryExitResolvesOnceAndKeepsTheBooks) {
+  data::Dataset data;
+  data.users.resize(kCatalogUsers);
+  data.items.resize(kCatalogItems);
+  EXPECT_TRUE(proptest::ForAll(
+      /*seed=*/20261017, /*trials=*/25, RandomExitSchedule,
+      [](const ExitSchedule& schedule) {
+        std::vector<ExitSchedule> out;
+        for (std::vector<ExitOp>& ops : proptest::ShrinkOps(schedule.ops)) {
+          out.push_back({schedule.block, std::move(ops)});
+        }
+        return out;
+      },
+      [&data](const ExitSchedule& schedule) {
+        serve::RouterConfig config;
+        config.num_threads = 1;
+        config.max_batch = 4;
+        config.max_wait_us = 100;
+        config.queue_capacity = 8;
+        config.deadline_us = 1'000;
+        config.admission.policy = schedule.block
+                                      ? serve::AdmissionPolicy::kBlock
+                                      : serve::AdmissionPolicy::kShed;
+        config.admission.low_lane_watermark = 3;
+        config.admission.high_lane_watermark = 6;
+        config.admission.slot_quotas = {{"a", 2}};
+        config.cache.enabled = true;
+        config.cache.capacity = 64;
+        config.cache.negative_ttl_us = 60'000'000;
+        serve::ServingRouter router(data, config);
+        router.InstallSlot("a", std::make_shared<SlowRotateReranker>(1, 300));
+        router.InstallSlot("b", std::make_shared<SlowRotateReranker>(2, 300));
+
+        struct Sent {
+          const ExitOp* op;
+          data::ImpressionList input;
+          std::future<serve::RouterResponse> future;
+        };
+        std::vector<Sent> sent;
+        for (const ExitOp& op : schedule.ops) {
+          if (op.shutdown) {
+            router.Shutdown();
+            continue;
+          }
+          serve::RouterRequest request;
+          request.slot = kExitSlots[op.slot];
+          request.lane = op.low_lane ? serve::Lane::kLow : serve::Lane::kHigh;
+          request.list = ExitList(op);
+          data::ImpressionList input = request.list;
+          sent.push_back(
+              {&op, std::move(input), router.Submit(std::move(request))});
+          if (op.wait) sent.back().future.wait();
+        }
+
+        uint64_t degraded = 0, shed = 0, slot_replies = 0;
+        uint64_t served_hits = 0, degraded_hits = 0;
+        for (Sent& s : sent) {
+          // Exactly once: a lost request never becomes ready, a dropped
+          // promise throws here, and a second set_value would throw
+          // inside the router.
+          if (s.future.wait_for(std::chrono::seconds(30)) !=
+              std::future_status::ready) {
+            return false;
+          }
+          serve::RouterResponse response;
+          try {
+            response = s.future.get();
+          } catch (const std::future_error&) {
+            return false;
+          }
+          const bool registered = s.op->slot != 2;
+          if (!registered || s.op->invalid) {
+            if (!response.degraded) return false;  // No model may answer.
+          } else {
+            ++slot_replies;
+          }
+          if (response.shed && !response.degraded) return false;
+          if (response.degraded) {
+            ++degraded;
+            if (response.items != s.input.items) return false;
+            if (response.model_version != 0 || !response.model_name.empty()) {
+              return false;
+            }
+          } else {
+            const int shift = s.op->slot + 1;
+            if (response.model_version != 1 ||
+                response.model_name != "rotate-" + std::to_string(shift) ||
+                response.items != Rotated(s.input.items, shift)) {
+              return false;
+            }
+          }
+          if (response.shed) ++shed;
+          if (response.cache_hit) {
+            ++(response.degraded ? degraded_hits : served_hits);
+          }
+        }
+
+        router.Shutdown();
+        const serve::RouterStats stats = router.stats();
+        uint64_t slot_requests = 0;
+        for (const auto& slot : stats.slots) {
+          slot_requests += slot.stats.requests;
+        }
+        return stats.total.requests == sent.size() &&
+               stats.total.fallbacks == degraded && stats.total.shed == shed &&
+               slot_requests == slot_replies &&
+               stats.cache.hits == served_hits &&
+               stats.cache.negative_hits == degraded_hits;
+      },
+      DescribeExitSchedule));
 }
 
 }  // namespace

@@ -665,7 +665,6 @@ TEST_F(RouterSnapshotTest, CacheStaysSwapConsistentUnderHotUserLoad) {
         router.LoadSlot("main", swap % 2 == 0 ? path_b : path_a));
   }
   for (std::thread& t : submitters) t.join();
-  router.DrainCacheMaintenance();
   router.Shutdown();
 
   EXPECT_EQ(versions, (std::vector<uint64_t>{2, 3, 4, 5, 6, 7}));
@@ -759,7 +758,6 @@ TEST_F(OneSlotRouterTest, ExpiredDeadlineFallsBackToInitialOrder) {
   cfg.max_batch = 1;
   cfg.max_wait_us = 0;
   cfg.deadline_us = 1;  // Unmeetable: queue wait alone exceeds it.
-  cfg.fallback = serve::FallbackPolicy::kInitialOrder;
   serve::ServingRouter router(data_, cfg);
   router.InstallSlot("main", Fit(8, 6));
 

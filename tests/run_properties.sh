@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Property-suite entry point: builds every test target labeled `property`
-# in tests/CMakeLists.txt and runs them through ctest in one shot, with
+# Property-suite entry point: builds the `property_suites` target (every
+# suite registered through rapid_add_property_test in tests/CMakeLists.txt)
+# and runs the `property`-labeled tests through ctest in one shot, with
 # the seed policy printed up front so a red run is immediately
 # replayable.
 #
@@ -26,26 +27,13 @@ if [[ ! -d "$build_dir" ]]; then
   exit 1
 fi
 
-targets=(
-  property_test
-  codec_property_test
-  ring_property_test
-  admission_property_test
-  router_property_test
-  batch_property_test
-  online_property_test
-  net_fault_test
-  page_property_test
-)
-
-echo "== property suites: ${targets[*]}"
 if [[ -n "${RAPID_PROPTEST_SEED:-}" ]]; then
   echo "== seed: RAPID_PROPTEST_SEED=$RAPID_PROPTEST_SEED (overrides every ForAll seed)"
 else
   echo "== seed: per-test defaults (failures print the seed to replay)"
 fi
 
-cmake --build "$build_dir" --parallel -t "${targets[@]}"
+cmake --build "$build_dir" --parallel "$(nproc)" -t property_suites
 
 # -L property selects exactly the suites registered through
 # rapid_add_property_test; the env seed (if any) propagates to the tests.

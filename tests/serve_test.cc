@@ -215,7 +215,6 @@ TEST_F(ServeTest, SubmitBlocksAtMostTheRequestDeadline) {
   cfg.max_wait_us = 0;
   cfg.queue_capacity = 1;
   cfg.deadline_us = 10'000;
-  cfg.fallback = serve::FallbackPolicy::kInitialOrder;
   serve::ServingRouter router(data_, cfg);
   router.InstallSlot("main", std::make_shared<StallInitReranker>(30'000));
 
