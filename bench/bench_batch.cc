@@ -16,7 +16,8 @@
 //                      speedup at batch 8 must be >= 1.5x.
 //
 // Every timed cell repeats `kRepetitions` times; the median is reported
-// under the ledger's gated `throughput_rps` key, min/samples ride along.
+// under `throughput_rps`, min/samples ride along. The two speedups are
+// ratios of those medians; they are what the perf ledger trends.
 //
 //   ./build/bench/bench_batch                    # full run, JSON to stdout
 //   ./build/bench/bench_batch --quick            # smoke-test sizing

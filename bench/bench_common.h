@@ -119,10 +119,10 @@ struct BenchArgs {
 };
 
 /// Result of repeating one timed measurement `K` times (see `Repeat`).
-/// Perf benches report `median` under the ledger's canonical metric key
-/// (the value `perf/ledger_trend.py` gates) and `min`/`samples` under
-/// non-gated side keys, so one noisy run on a shared box neither trips nor
-/// masks the trend gate.
+/// Perf benches report `median` under the metric's key and `min`/`samples`
+/// under side keys, so one noisy run on a shared box moves neither the
+/// reported figure nor a speedup built from it (the ratios the perf
+/// ledger trends).
 struct RepeatStats {
   std::vector<double> samples;
   double min = 0.0;
@@ -138,12 +138,11 @@ struct RepeatStats {
 /// timing — keeping that explicit avoids silently hiding first-run costs.
 RepeatStats Repeat(int repetitions, const std::function<double()>& measure);
 
-/// Renders one repeated measurement as a JSON object fragment under the
-/// ledger's key convention: the gated median under `key`, plus
-/// `<key>_min` and `<key>_samples` side keys. `extra` (optional) is
-/// spliced verbatim after the metric keys, e.g. `"\"backend\": \"avx2\""`.
-/// This is the one emit path for per-metric rows, so every bench's ledger
-/// entries stay mergeable by `perf/ledger_trend.py`.
+/// Renders one repeated measurement as a JSON object fragment: the median
+/// under `key`, plus `<key>_min` and `<key>_samples` side keys. `extra`
+/// (optional) is spliced verbatim after the metric keys, e.g.
+/// `"\"backend\": \"avx2\""`. This is the one emit path for per-metric
+/// rows, so every bench's JSON keeps one key convention.
 std::string MetricJson(const std::string& key, const RepeatStats& stats,
                        const std::string& extra = "");
 

@@ -2,7 +2,7 @@
 // lengths D in {3, 5, 10} on the App Store environment.
 //
 //   ./build/bench/bench_table5           # paper-style table
-//   ./build/bench/bench_table5 --json    # machine-readable (perf ledger)
+//   ./build/bench/bench_table5 --json    # machine-readable
 
 #include <cstdio>
 

@@ -3,10 +3,10 @@
 // google-benchmark timings of one 16-list training step (train-b) and one
 // 16-list inference pass (test-b).
 //
-// `--json` switches to a machine-readable single-object output for the
-// perf ledger: train-all plus chrono-timed train-b/test-b per cell
-// (google-benchmark is skipped — its repetition protocol is for the
-// human-facing run; the ledger wants one comparable number per cell).
+// `--json` switches to a machine-readable single-object output: train-all
+// plus chrono-timed train-b/test-b per cell (google-benchmark is skipped —
+// its repetition protocol is for the human-facing run; the JSON wants one
+// comparable number per cell).
 
 #include <benchmark/benchmark.h>
 

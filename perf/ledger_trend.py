@@ -1,47 +1,33 @@
 #!/usr/bin/env python3
-"""Perf-trajectory trend gate over the committed ledger.
+"""Perf-ledger trend gate: judges the newest entry under perf/ledger/.
 
-Compares the most recent entry under perf/ledger/ (filenames start with a
-UTC timestamp, so lexicographic order is chronological) against the
-*median* of the preceding window of entries (``--window``, default 5) and
-fails when a trended metric regressed beyond the threshold. ``METRICS``
-below declares which leaf keys are trended and whether lower or higher is
-better; every other numeric leaf is a parameter, a count or a side key
-(``_min``, ``_samples``) and is not trended.
+An entry, written by ``perf/run_ledger.sh PARENT``, holds what one session
+on one host measured: two benchmark result sets of alternating pairs --
+``base`` from the parent revision, ``change`` from the checkout -- the
+``--quick --json`` output of the ratio benches, and the host key (``nproc``
+and CPU model). Filenames start with a UTC timestamp, so lexicographic
+order is chronological.
 
-The windowed median makes the baseline robust to one anomalously fast or
-slow historical run: a single lucky entry can no longer make every
-subsequent run look like a regression, and a single unlucky one cannot
-mask a real slide. With a window of 1 this degenerates to the previous
-pairwise behaviour.
+The newest entry fails the gate when either
+  - benchmark/compare.py, run on its two result sets, reports a regressed
+    end-to-end metric or a rise in the failed share (BENCHMARK.json's
+    bounds); or
+  - a ratio or page-quality key of its benches (``RATIO_KEYS``) is worse
+    than in the previous entry from the same host by more than the
+    threshold. An entry from another host is never compared: core count
+    and CPU move even a same-run ratio.
+Absolute speeds are judged only inside one entry, where both sides share
+the session; across sessions they drift with whatever else the host runs.
 
-A flagged metric must regress beyond the threshold against *both* the
-windowed median and the best window observation (lowest for a
-lower-is-better key, highest otherwise). The window entries sample the
-same machine-noise distribution as the new run -- on a single-core CI box
-back-to-back runs of an identical binary can differ by 40%+ -- so a new
-value that some recent run already matched is within observed variance,
-while a genuine code regression lands worse than every recent
-observation.
-
-Metrics are matched per bench (by the ``"bench"`` field of each entry in
-the ledger's ``benches`` array) and per JSON path, so adding a new bench
-or a new metric never trips the gate -- only a metric present in the
-latest entry *and* at least one window entry can regress. Sub-floor
-latencies (keys in ``us``; microsecond-scale cache hits and the like) are
-skipped: at that magnitude scheduler noise swamps any signal. A latency
-regression must also move by at least ``--min-delta-us`` in absolute
-terms -- the serving metrics histogram is log-bucketed, so at millisecond
-magnitudes one bucket step between adjacent runs already exceeds a 20%
-ratio without meaning anything.
+It also prints the trajectory: per workload and end-to-end metric, each
+entry's change/parent median ratio, chained from the oldest entry to the
+newest.
 
 Usage:
   perf/ledger_trend.py [--ledger-dir DIR] [--threshold 0.20]
-                       [--window 5] [--min-p99-us 200]
-                       [--min-delta-us 1000]
 
-Exit status: 0 = no regression (or fewer than two entries), 1 =
-regression, 2 = malformed ledger. Registered as the tier-2 ctest target
+Exit status: 0 = no regression (or an empty ledger), 1 = regression,
+2 = malformed ledger. Registered as the tier-2 ctest target
 ``perf_ledger_trend`` (run with ``ctest -C perf``).
 """
 
@@ -49,43 +35,33 @@ import argparse
 import json
 import os
 import statistics
+import subprocess
 import sys
+import tempfile
 
-# The trended leaf keys, in the shape of BENCHMARK.json's "end_to_end"
-# entries. A leaf key is the last name on a metric's JSON path: "p99_us"
-# in "results[2].stats.p99_us".
-METRICS = [
-    # Latency tails (serving stats, wire, shards).
-    {"name": "p99_us", "unit": "us", "better": "lower"},
-    {"name": "healthy_p99_us", "unit": "us", "better": "lower"},
-    # Throughput.
-    {"name": "throughput_rps", "unit": "req/s", "better": "higher"},
-    {"name": "page_lists_per_sec", "unit": "lists/s", "better": "higher"},
-    {"name": "single_lists_per_sec", "unit": "lists/s", "better": "higher"},
-    # Kernels (bench_nn_micro).
-    {"name": "gflops", "unit": "GFLOP/s", "better": "higher"},
-    {"name": "melems", "unit": "Melem/s", "better": "higher"},
-    {"name": "rows_per_sec", "unit": "rows/s", "better": "higher"},
-    {"name": "steps_per_sec", "unit": "steps/s", "better": "higher"},
-    {"name": "layers_per_sec", "unit": "layers/s", "better": "higher"},
-    # Speedups behind the tier-2 ratio gates.
-    {"name": "forward_speedup", "unit": "x", "better": "higher"},
-    {"name": "compute_speedup", "unit": "x", "better": "higher"},
-    {"name": "fetch_compute_speedup", "unit": "x", "better": "higher"},
-    {"name": "speedup_2x", "unit": "x", "better": "higher"},
-    {"name": "speedup_4x", "unit": "x", "better": "higher"},
-    {"name": "ratio", "unit": "x", "better": "higher"},  # Page frame.
-    # Page quality (bench_page, page-level DCM).
-    {"name": "joint_utility", "unit": "dcm", "better": "higher"},
-    {"name": "indep_utility", "unit": "dcm", "better": "higher"},
-    {"name": "joint_coverage", "unit": "topics", "better": "higher"},
-    {"name": "indep_coverage", "unit": "topics", "better": "higher"},
-    {"name": "joint_redundancy", "unit": "topics", "better": "lower"},
-    {"name": "indep_redundancy", "unit": "topics", "better": "lower"},
-    {"name": "joint_spent", "unit": "mass", "better": "lower"},
-    {"name": "indep_spent", "unit": "mass", "better": "lower"},
-]
-DIRECTION = {m["name"]: m for m in METRICS}
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COMPARE = os.path.join(REPO, "benchmark", "compare.py")
+
+# The leaf keys judged entry to entry, with the better direction. A leaf
+# key is the last name on a metric's JSON path: "ratio" in
+# "throughput.ratio". Each is a same-run speed ratio or a seeded quality
+# figure, so unlike an absolute speed it holds still between sessions.
+RATIO_KEYS = {
+    "forward_speedup": "higher",
+    "compute_speedup": "higher",
+    "fetch_compute_speedup": "higher",
+    "speedup_2x": "higher",
+    "speedup_4x": "higher",
+    "ratio": "higher",  # Page frame vs single-list frames.
+    "joint_utility": "higher",
+    "indep_utility": "higher",
+    "joint_coverage": "higher",
+    "indep_coverage": "higher",
+    "joint_redundancy": "lower",
+    "indep_redundancy": "lower",
+    "joint_spent": "lower",
+    "indep_spent": "lower",
+}
 
 
 def leaf_key(path):
@@ -93,129 +69,162 @@ def leaf_key(path):
     return path.rsplit(".", 1)[-1].split("[", 1)[0]
 
 
-def collect_metrics(node, path, out):
-    """Flattens the trended numeric leaves into {json.path: value}."""
+def collect_ratios(node, path, out):
+    """Flattens the RATIO_KEYS leaves into {json.path: value}."""
     if isinstance(node, dict):
         for key, value in node.items():
-            collect_metrics(value, f"{path}.{key}" if path else key, out)
+            collect_ratios(value, f"{path}.{key}" if path else key, out)
     elif isinstance(node, list):
         for i, value in enumerate(node):
-            collect_metrics(value, f"{path}[{i}]", out)
+            collect_ratios(value, f"{path}[{i}]", out)
     elif (isinstance(node, (int, float)) and not isinstance(node, bool)
-          and leaf_key(path) in DIRECTION):
+          and leaf_key(path) in RATIO_KEYS):
         out[path] = float(node)
 
 
-def entry_metrics(ledger):
-    """{bench_name: {metric_path: value}} for one ledger file."""
+def bench_ratios(entry):
+    """{(bench_name, metric_path): value} for one entry."""
     out = {}
-    for bench in ledger.get("benches", []):
-        name = bench.get("bench", "?")
-        metrics = {}
-        collect_metrics(bench, "", metrics)
-        out[name] = metrics
+    for bench in entry["benches"]:
+        values = {}
+        collect_ratios(bench, "", values)
+        for path, value in values.items():
+            out[(bench.get("bench", "?"), path)] = value
     return out
 
 
-def window_baseline(window_entries):
-    """Per-(bench, path) samples across the window entries that have it."""
+def load_entry(path):
+    with open(path) as f:
+        entry = json.load(f)
+    if (not isinstance(entry, dict)
+            or not all(k in entry for k in ("host", "base", "change",
+                                            "benches"))
+            or not all(k in entry["host"] for k in ("nproc", "cpu"))):
+        raise ValueError("not a ledger entry: it needs host {nproc, cpu}, "
+                         "base, change and benches")
+    return entry
+
+
+def host_name(entry):
+    return f"{entry['host']['nproc']}x {entry['host']['cpu']}"
+
+
+def run_compare(entry):
+    """compare.py's exit status on the entry's two result sets."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for side in ("base", "change"):
+            path = os.path.join(tmp, f"{side}.jsonl")
+            with open(path, "w") as f:
+                for row in entry[side]:
+                    f.write(json.dumps(row) + "\n")
+            paths.append(path)
+        sys.stdout.flush()
+        return subprocess.call([sys.executable, COMPARE] + paths)
+
+
+def medians(rows):
+    """{(workload, metric): median value} over one result set."""
     samples = {}
-    for entry in window_entries:
-        for bench, metrics in entry.items():
-            for path, value in metrics.items():
-                samples.setdefault((bench, path), []).append(value)
-    return samples
+    for row in rows:
+        for name, metric in row["result"]["metrics"].items():
+            samples.setdefault((row["workload"], name), []).append(
+                metric["value"])
+    return {key: statistics.median(v) for key, v in samples.items()}
+
+
+def print_trajectory(names, entries):
+    with open(os.path.join(REPO, "BENCHMARK.json")) as f:
+        metrics = [m["name"] for m in json.load(f)["end_to_end"]]
+    sides = [(medians(e["base"]), medians(e["change"])) for e in entries]
+    workloads = sorted({w for base, _ in sides for (w, _) in base})
+    print(f"ledger_trend: trajectory, change/parent median per entry "
+          f"({names[0]} .. {names[-1]}):")
+    for workload in workloads:
+        for metric in metrics:
+            chain, total = [], 1.0
+            for base, change in sides:
+                old = base.get((workload, metric))
+                new = change.get((workload, metric))
+                if not old or new is None:
+                    chain.append("-")
+                    continue
+                chain.append(f"{new / old:.3f}")
+                total *= new / old
+            print(f"  {workload:12s} {metric:14s} {' x '.join(chain)}"
+                  + (f" = {total:.3f}" if len(chain) > 1 else ""))
+
+
+def judge_ratios(names, entries, threshold):
+    """Regressed ratio keys of the newest entry against the previous entry
+    from the same host; [] when there is none."""
+    curr = entries[-1]
+    prev = next((i for i in range(len(entries) - 2, -1, -1)
+                 if entries[i]["host"] == curr["host"]), None)
+    if prev is None:
+        print(f"ledger_trend: ratio trend skipped: no earlier entry from "
+              f"host {host_name(curr)}")
+        return []
+    print(f"ledger_trend: ratio keys, {names[prev]} -> {names[-1]} "
+          f"(host {host_name(curr)}, threshold {threshold:.0%})")
+    old_values, new_values = bench_ratios(entries[prev]), bench_ratios(curr)
+    regressions = []
+    for (bench, path), old in sorted(old_values.items()):
+        new = new_values.get((bench, path))
+        if new is None or old <= 0.0:
+            continue
+        better = RATIO_KEYS[leaf_key(path)]
+        ratio = new / old
+        worse = (ratio > 1.0 + threshold if better == "lower"
+                 else ratio < 1.0 - threshold)
+        print(f"  [{bench}] {path}: {old:.6g} -> {new:.6g} ({better} is "
+              f"better, ratio {ratio:.2f}) {'REGRESSED' if worse else 'ok'}")
+        if worse:
+            regressions.append(f"{bench}:{path}")
+    return regressions
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    default_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                               "ledger")
-    parser.add_argument("--ledger-dir", default=default_dir)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--ledger-dir", default=os.path.join(REPO, "perf",
+                                                             "ledger"))
     parser.add_argument("--threshold", type=float, default=0.20,
-                        help="fractional regression that fails the gate")
-    parser.add_argument("--window", type=int, default=5,
-                        help="history entries (before the latest) whose "
-                             "median forms the baseline")
-    parser.add_argument("--min-p99-us", type=float, default=200.0,
-                        help="ignore latency (us) metrics below this baseline")
-    parser.add_argument("--min-delta-us", type=float, default=1000.0,
-                        help="a latency regression must also grow by this "
-                             "many microseconds (histogram-bucket noise "
-                             "guard)")
+                        help="fractional ratio-key regression that fails "
+                             "the gate")
     args = parser.parse_args()
-    if args.window < 1:
-        print("ledger_trend: --window must be >= 1")
-        return 2
 
     try:
-        files = sorted(f for f in os.listdir(args.ledger_dir)
+        names = sorted(f for f in os.listdir(args.ledger_dir)
                        if f.endswith(".json"))
     except FileNotFoundError:
-        print(f"ledger_trend: no ledger dir at {args.ledger_dir}")
+        names = []
+    if not names:
+        print(f"ledger_trend: no entries under {args.ledger_dir} -- skipping")
         return 0
-    if len(files) < 2:
-        print(f"ledger_trend: {len(files)} entr{'y' if len(files) == 1 else 'ies'}"
-              " in the ledger; need two to diff -- skipping")
-        return 0
-
-    curr_file = files[-1]
-    window_files = files[-1 - args.window:-1]
     entries = []
-    for name in window_files + [curr_file]:
+    for name in names:
         try:
-            with open(os.path.join(args.ledger_dir, name)) as f:
-                entries.append(entry_metrics(json.load(f)))
-        except (OSError, json.JSONDecodeError) as err:
+            entries.append(load_entry(os.path.join(args.ledger_dir, name)))
+        except (OSError, ValueError) as err:
             print(f"ledger_trend: cannot read {name}: {err}")
             return 2
-    curr = entries[-1]
-    baseline = window_baseline(entries[:-1])
 
-    print(f"ledger_trend: median of {len(window_files)} "
-          f"({window_files[0]} .. {window_files[-1]}) -> {curr_file} "
-          f"(threshold {args.threshold:.0%})")
-    regressions = []
-    compared = 0
-    for (bench, path), samples in sorted(baseline.items()):
-        curr_metrics = curr.get(bench)
-        if curr_metrics is None:
-            continue
-        new = curr_metrics.get(path)
-        old = statistics.median(samples)
-        if new is None or old <= 0.0:
-            continue
-        metric = DIRECTION[leaf_key(path)]
-        latency = metric["unit"] == "us"
-        if latency and old < args.min_p99_us:
-            continue  # Microsecond-scale noise, not signal.
-        ratio = new / old
-        if metric["better"] == "lower":
-            best = min(samples)
-            worse = (ratio > 1.0 + args.threshold and
-                     (not latency or new - old >= args.min_delta_us) and
-                     best > 0.0 and new / best > 1.0 + args.threshold)
-        else:
-            best = max(samples)
-            worse = (ratio < 1.0 - args.threshold and
-                     new / best < 1.0 - args.threshold)
-        compared += 1
-        status = "REGRESSED" if worse else "ok"
-        print(f"  [{bench}] {path}: median {old:.6g} (best {best:.6g}) -> "
-              f"{new:.6g} ({metric['unit']}, {metric['better']} is better, "
-              f"ratio {ratio:.2f}) {status}")
-        if worse:
-            regressions.append(f"{bench}:{path}")
+    print(f"ledger_trend: {names[-1]}: parent {entries[-1].get('parent')} on "
+          f"host {host_name(entries[-1])}, {len(entries[-1]['base'])} base "
+          f"and {len(entries[-1]['change'])} change runs")
+    compare_failed = run_compare(entries[-1]) != 0
+    print_trajectory(names, entries)
+    regressions = judge_ratios(names, entries, args.threshold)
 
-    dropped = sorted({bench for (bench, _) in baseline} - set(curr))
-    for bench in dropped:
-        print(f"  [{bench}] dropped from the latest entry -- skipping")
-
+    if compare_failed:
+        print("ledger_trend: compare.py reports a regression or a failure "
+              "rise in the newest entry (see its table above)")
     if regressions:
-        print(f"ledger_trend: {len(regressions)} regression(s): "
+        print(f"ledger_trend: {len(regressions)} ratio regression(s): "
               + ", ".join(regressions))
+    if compare_failed or regressions:
         return 1
-    print(f"ledger_trend: {compared} metric(s) compared, no regressions")
+    print("ledger_trend: no regressions")
     return 0
 
 

@@ -38,7 +38,8 @@ struct PageGenConfig {
 struct PageSession {
   int user_id = 0;
   /// The user's diversity budget for this page, in mean-topic units of
-  /// marginal-coverage mass (see `page::PageRequest`).
+  /// marginal-coverage mass (see the `budget` of
+  /// `page::PageReranker::Rerank`).
   float diversity_budget = 0.0f;
   std::vector<ImpressionList> lists;
 };

@@ -229,8 +229,8 @@ struct WirePageRequest {
   /// Advisory, as on `WireRequest`.
   int64_t deadline_us = 0;
   int32_t user_id = 0;
-  /// Per-user diversity budget in mean-topic units (see
-  /// `page::PageRequest::diversity_budget`). The server sanitizes
+  /// Per-user diversity budget in mean-topic units (see the `budget` of
+  /// `page::PageReranker::Rerank`). The server sanitizes
   /// non-finite or negative values to 0.
   float diversity_budget = 0.0f;
   /// 1 = joint cross-list pass (the default), 0 = independent per-list

@@ -1,6 +1,7 @@
 #include "page/page.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <numeric>
 #include <unordered_set>
 
@@ -116,29 +117,6 @@ PageResult PageReranker::Rerank(const std::vector<std::vector<int>>& lists,
   result.cross_list_redundancy =
       CrossListRedundancy(data_, result.lists, config_.top_k);
   return result;
-}
-
-PageResult PageReranker::RerankWithModel(const rerank::NeuralReranker& model,
-                                         const PageRequest& request) const {
-  std::vector<const data::ImpressionList*> ptrs;
-  ptrs.reserve(request.lists.size());
-  for (const data::ImpressionList& list : request.lists) {
-    ptrs.push_back(&list);
-  }
-  const std::vector<std::vector<float>> scores =
-      model.ScoreBatch(data_, ptrs);
-  std::vector<std::vector<int>> items(request.lists.size());
-  std::vector<std::vector<float>> relevance(request.lists.size());
-  for (size_t l = 0; l < request.lists.size(); ++l) {
-    items[l] = request.lists[l].items;
-    // Min-max normalize into [0,1] (constant lists map to all-0.5), the
-    // same relevance estimate the heuristic rerankers use.
-    data::ImpressionList scored;
-    scored.items = request.lists[l].items;
-    scored.scores = scores[l];
-    relevance[l] = rerank::NormalizedScores(scored);
-  }
-  return Rerank(items, relevance, request.diversity_budget);
 }
 
 float PageCoverage(const data::Dataset& data,

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "datagen/types.h"
-#include "rerank/neural_base.h"
 #include "rerank/reranker.h"
 
 namespace rapid::page {
@@ -34,19 +33,6 @@ struct PageRerankConfig {
   /// False = the independent per-list baseline: each list gets its own
   /// residual vector and an even `budget / num_lists` share of the budget.
   bool joint = true;
-};
-
-/// One page to rerank: the user, the candidate lists, and the user's
-/// diversity budget — the total marginal-coverage mass (in mean-topic
-/// units) the page may spend before the greedy pass falls back to pure
-/// relevance. The budget is *per user* (scaled from their diversity
-/// appetite by the session generator), and under the joint pass it is
-/// allocated greedily across lists rather than split evenly.
-struct PageRequest {
-  int user_id = 0;
-  float diversity_budget = 0.0f;
-  /// Candidate lists; `items` and `scores` are meaningful.
-  std::vector<data::ImpressionList> lists;
 };
 
 /// The reranked page plus its coverage diagnostics.
@@ -79,16 +65,15 @@ class PageReranker {
   /// `lambda * rel + (1 - lambda) * MarginalCoverageGain(item, residual)`
   /// while budget remains, then absorbing the pick into the (shared or
   /// per-list) residual.
+  ///
+  /// `budget` is the user's diversity budget: the total marginal-coverage
+  /// mass (in mean-topic units) the page may spend before the greedy pass
+  /// falls back to pure relevance. It is *per user* (scaled from their
+  /// diversity appetite by the session generator), and under the joint
+  /// pass it is allocated greedily across lists rather than split evenly.
   PageResult Rerank(const std::vector<std::vector<int>>& lists,
                     const std::vector<std::vector<float>>& relevance,
                     float budget) const;
-
-  /// Convenience over the neural path: scores every list of the page with
-  /// one `NeuralReranker::ScoreBatch` call (the same micro-batched forward
-  /// the serving tier uses), min-max normalizes each list's scores into
-  /// [0, 1], and runs `Rerank`.
-  PageResult RerankWithModel(const rerank::NeuralReranker& model,
-                             const PageRequest& request) const;
 
   /// Rank-decay relevance for a list already ordered by a model:
   /// `rel[i] = (n - i) / n`. How the serving tier derives relevance from

@@ -450,8 +450,9 @@ TEST(ResultCacheTest, PublishSweepKeepsNegativesAnsweredAfterIt) {
   cache.InsertNegative("m", 1, {9, 8, 7});  // Answered before the publish.
   cache.Sweep("m", /*live_version=*/1);
   cache.InsertNegative("m", 2, {6, 5});  // Answered after it.
-  // However late the background sweep ran, it removes only the entry
-  // that predates the publish.
+  // The sweep runs on the publishing thread and is done when it returns,
+  // so it removes the entry answered before it and keeps the one answered
+  // after it.
   EXPECT_FALSE(cache.LookupNegative("m", 1).has_value());
   EXPECT_TRUE(cache.LookupNegative("m", 2).has_value());
   EXPECT_EQ(cache.TotalStats().swept, 1u);
